@@ -4,11 +4,17 @@
 // same process via simd::SetLevelForTesting. Reports per-kernel speedups and
 // their geometric mean, which CI gates at >= 3x on SIMD-capable hosts.
 //
-// Self-contained (no google-benchmark): each case runs for a fixed iteration
-// budget, best-of-3 repetitions, single-threaded (CF_NUM_THREADS is pinned to
-// 1 before the pool spins up so ParallelFor runs inline).
+// Then times whole detections (detect_e2e): DetectCausalGraph on a randomly
+// initialised model for several (N series, d_model, B windows) geometries,
+// once single-threaded and once with the per-target walks fanned out over the
+// pool, with per-phase (forward/backward/relevance/cluster) columns.
 //
-// Results are printed as a table and written to BENCH_perf.json.
+// Self-contained (no google-benchmark): each case runs for a fixed iteration
+// budget, best-of-3 repetitions. Kernel cases and the single-thread detect
+// rows run inside a pool task, where every ParallelFor runs inline; the pool
+// itself has CF_NUM_THREADS workers (default: the hardware concurrency).
+//
+// Results are printed as tables and written to BENCH_perf.json.
 //
 // Environment knobs: CF_BENCH_PERF_ITERS scales the per-case iteration
 // budget (percent, default 100), CF_FAST=1 (smoke: 1 rep, 10% iterations).
@@ -17,17 +23,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "core/causal_conv.h"
 #include "core/causality_transformer.h"
+#include "core/detector.h"
 #include "interpret/relevance.h"
+#include "obs/trace.h"
 #include "tensor/allocator.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace cf = causalformer;
 
@@ -69,20 +79,94 @@ struct Result {
   double speedup = 1;
 };
 
+// Runs fn on a pool worker and waits for it. ParallelFor calls made there run
+// inline, so the work is single-threaded whatever the pool size.
+void RunOnOneThread(const std::function<void()>& fn) {
+  std::promise<void> done;
+  cf::ThreadPool::Global().Schedule([&] {
+    fn();
+    done.set_value();
+  });
+  done.get_future().wait();
+}
+
+struct DetectGeometry {
+  int64_t n = 0;  // series
+  int64_t d = 0;  // d_model = d_qk
+  int64_t b = 0;  // windows per request
+  int iters = 0;  // per repetition, before scaling
+};
+
+struct DetectRow {
+  DetectGeometry geometry;
+  int threads = 1;
+  double detect_ms = 0;  // best-of-reps mean wall time per detect
+  // Phase means per detect over the best repetition (ScopedPhaseTimer
+  // attribution, so they sum to at most detect_ms).
+  double forward_ms = 0, backward_ms = 0, relevance_ms = 0, cluster_ms = 0;
+};
+
+// Times DetectCausalGraph on one geometry: a randomly initialised model with
+// T = 16, 2 heads, d_ffn = 64 (the served models' shape) and B random windows.
+DetectRow TimeDetect(const DetectGeometry& g, int threads, int iters,
+                     int reps) {
+  cf::Rng rng(static_cast<uint64_t>(1000 + g.n * 7 + g.d + g.b));
+  cf::core::ModelOptions mopt;
+  mopt.num_series = g.n;
+  mopt.window = 16;
+  mopt.d_model = g.d;
+  mopt.d_qk = g.d;
+  mopt.heads = 2;
+  mopt.d_ffn = 64;
+  const cf::core::CausalityTransformer model(mopt, &rng);
+  const cf::Tensor windows = cf::Tensor::Randn(cf::Shape{g.b, g.n, 16}, &rng);
+  cf::core::DetectorOptions dopt;
+  dopt.max_windows = g.b;
+
+  DetectRow row;
+  row.geometry = g;
+  row.threads = threads;
+  row.detect_ms = 1e300;
+  auto run = [&] {
+    cf::ScopedAllocator arena_guard(cf::DetectArena());
+    g_sink = static_cast<float>(
+        cf::core::DetectCausalGraph(model, windows, dopt).scores.at(0, 0));
+    for (int r = 0; r < reps; ++r) {
+      cf::obs::PhaseCollector phases;
+      phases.set_collect_kernels(false);
+      cf::obs::ScopedPhaseCollector install(&phases);
+      cf::Stopwatch sw;
+      for (int i = 0; i < iters; ++i) {
+        g_sink = static_cast<float>(
+            cf::core::DetectCausalGraph(model, windows, dopt).scores.at(0, 0));
+      }
+      const double ms = sw.ElapsedSeconds() * 1000.0 / iters;
+      if (ms >= row.detect_ms) continue;
+      row.detect_ms = ms;
+      row.forward_ms = row.backward_ms = row.relevance_ms = row.cluster_ms = 0;
+      for (const auto& [name, seconds] : phases.phases()) {
+        const double per = seconds * 1000.0 / iters;
+        if (name == "forward") row.forward_ms = per;
+        if (name == "backward") row.backward_ms = per;
+        if (name == "relevance") row.relevance_ms = per;
+        if (name == "cluster") row.cluster_ms = per;
+      }
+    }
+  };
+  if (threads == 1) {
+    RunOnOneThread(run);
+  } else {
+    run();
+  }
+  return row;
+}
+
 }  // namespace
 
 int main() {
-  // Single-thread the pool before anything touches it: kernel speedups must
-  // not be confounded by ParallelFor splits.
-  setenv("CF_NUM_THREADS", "1", /*overwrite=*/0);
   const bool fast = std::getenv("CF_FAST") != nullptr;
   const int pct = EnvInt("CF_BENCH_PERF_ITERS", fast ? 10 : 100);
   const int reps = fast ? 1 : 3;
-
-  // Run under the detect arena, as the serving path does: intermediate
-  // tensors recycle instead of round-tripping through malloc (and its page
-  // faults) on every iteration, so the timings isolate the kernels.
-  cf::ScopedAllocator arena_guard(cf::DetectArena());
 
   cf::Rng rng(42);
 
@@ -172,22 +256,30 @@ int main() {
 
   std::printf("%-26s %12s %12s %9s\n", "kernel", "scalar ms/it",
               (std::string(level_name) + " ms/it").c_str(), "speedup");
-  for (const BenchCase& c : cases) {
-    const int iters = std::max(1, c.iters * pct / 100);
-    Result r;
-    r.name = c.name;
-    // Warm the arena/pool and the instruction cache once per table.
-    cf::simd::SetLevelForTesting(cf::simd::IsaLevel::kScalar);
-    c.fn();
-    r.scalar_ms = TimeCase(c, iters, reps);
-    cf::simd::SetLevelForTesting(best_level);
-    c.fn();
-    r.simd_ms = TimeCase(c, iters, reps);
-    r.speedup = r.simd_ms > 0 ? r.scalar_ms / r.simd_ms : 1.0;
-    results.push_back(r);
-    std::printf("%-26s %12.4f %12.4f %8.2fx\n", r.name.c_str(), r.scalar_ms,
-                r.simd_ms, r.speedup);
-  }
+  // Kernel speedups must not be confounded by ParallelFor splits: run the
+  // cases on one thread, under the detect arena as the serving path does
+  // (intermediate tensors recycle instead of round-tripping through malloc
+  // and its page faults on every iteration, so the timings isolate the
+  // kernels).
+  RunOnOneThread([&] {
+    cf::ScopedAllocator arena_guard(cf::DetectArena());
+    for (const BenchCase& c : cases) {
+      const int iters = std::max(1, c.iters * pct / 100);
+      Result r;
+      r.name = c.name;
+      // Warm the arena/pool and the instruction cache once per table.
+      cf::simd::SetLevelForTesting(cf::simd::IsaLevel::kScalar);
+      c.fn();
+      r.scalar_ms = TimeCase(c, iters, reps);
+      cf::simd::SetLevelForTesting(best_level);
+      c.fn();
+      r.simd_ms = TimeCase(c, iters, reps);
+      r.speedup = r.simd_ms > 0 ? r.scalar_ms / r.simd_ms : 1.0;
+      results.push_back(r);
+      std::printf("%-26s %12.4f %12.4f %8.2fx\n", r.name.c_str(),
+                  r.scalar_ms, r.simd_ms, r.speedup);
+    }
+  });
 
   double log_sum = 0.0;
   for (const Result& r : results) log_sum += std::log(r.speedup);
@@ -195,6 +287,30 @@ int main() {
       results.empty() ? 1.0
                       : std::exp(log_sum / static_cast<double>(results.size()));
   std::printf("%-26s %34.2fx\n", "geomean", geomean);
+
+  // Whole detections, best vectorized table, at 1 thread and the pool size.
+  const std::vector<DetectGeometry> geometries = {
+      {10, 32, 8, 40}, {20, 32, 8, 10}, {10, 128, 32, 4}};
+  const int pool_threads = cf::ThreadPool::Global().num_threads();
+  std::vector<DetectRow> detect_rows;
+  std::printf("\n%-16s %7s %10s %10s %10s %10s %10s\n", "detect_e2e N,d,B",
+              "threads", "detect ms", "forward", "backward", "relevance",
+              "cluster");
+  for (const DetectGeometry& g : geometries) {
+    const int iters = std::max(1, g.iters * pct / 100);
+    std::vector<int> thread_counts = {1};
+    if (pool_threads > 1) thread_counts.push_back(pool_threads);
+    for (const int threads : thread_counts) {
+      const DetectRow row = TimeDetect(g, threads, iters, reps);
+      detect_rows.push_back(row);
+      const std::string label = std::to_string(g.n) + "," +
+                                std::to_string(g.d) + "," +
+                                std::to_string(g.b);
+      std::printf("%-16s %7d %10.3f %10.3f %10.3f %10.3f %10.3f\n",
+                  label.c_str(), threads, row.detect_ms, row.forward_ms,
+                  row.backward_ms, row.relevance_ms, row.cluster_ms);
+    }
+  }
 
   FILE* f = std::fopen("BENCH_perf.json", "w");
   if (f != nullptr) {
@@ -210,7 +326,23 @@ int main() {
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"kernel_speedup_geomean\": %.4f\n}\n", geomean);
+    std::fprintf(f, "  \"kernel_speedup_geomean\": %.4f,\n", geomean);
+    std::fprintf(f, "  \"pool_threads\": %d,\n", pool_threads);
+    std::fprintf(f, "  \"detect_e2e\": [\n");
+    for (size_t i = 0; i < detect_rows.size(); ++i) {
+      const DetectRow& r = detect_rows[i];
+      std::fprintf(f,
+                   "    {\"n\": %lld, \"d\": %lld, \"b\": %lld, "
+                   "\"threads\": %d, \"detect_ms\": %.6f, "
+                   "\"forward_ms\": %.6f, \"backward_ms\": %.6f, "
+                   "\"relevance_ms\": %.6f, \"cluster_ms\": %.6f}%s\n",
+                   static_cast<long long>(r.geometry.n),
+                   static_cast<long long>(r.geometry.d),
+                   static_cast<long long>(r.geometry.b), r.threads,
+                   r.detect_ms, r.forward_ms, r.backward_ms, r.relevance_ms,
+                   r.cluster_ms, i + 1 < detect_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_perf.json (simd_level=%s)\n", level_name);
   }

@@ -21,7 +21,7 @@ int main() {
       cf::eval::ExperimentBudget::FromEnv();
   std::printf(
       "Table 1: overall F1-score (mean±std) per method and dataset\n"
-      "(seeds=%d%s; paper reference values in EXPERIMENTS.md)\n\n",
+      "(seeds=%d%s)\n\n",
       budget.seeds, budget.fast ? ", fast mode" : "");
 
   std::vector<std::string> headers = {"Dataset"};

@@ -1,7 +1,7 @@
 // fMRI brain-network discovery: runs CausalFormer on simulated BOLD subjects
-// (NetSim-style; see DESIGN.md for the substitution) and reports per-subject
-// and aggregate F1, mirroring the realistic row of Table 1 and the Fig. 8
-// case study.
+// (NetSim-style; see src/data/fmri_sim.h for the substitution) and reports
+// per-subject and aggregate F1, mirroring the realistic row of Table 1 and
+// the Fig. 8 case study.
 //
 // Run: ./build/fmri_discovery          (after cmake --build build -j)
 

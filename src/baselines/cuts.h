@@ -5,7 +5,7 @@
 
 /// \file
 /// CUTS — neural causal discovery from irregular time series (Cheng et al.,
-/// 2023), simplified as documented in DESIGN.md. Two alternating stages:
+/// 2023), simplified. Two alternating stages:
 ///
 ///   1. *Imputation*: a random fraction of observations is masked (the
 ///      "irregular sampling" CUTS is built for) and filled by linear

@@ -5,7 +5,7 @@
 
 /// \file
 /// DVGNN — dynamic diffusion-variational graph neural network (Liang et al.,
-/// 2023), simplified as documented in DESIGN.md: a learnable adjacency
+/// 2023), simplified: a learnable adjacency
 /// (diffusion) matrix drives a two-layer graph convolution that predicts each
 /// node's next value from the lagged node features; during training the
 /// adjacency logits receive reparameterised Gaussian noise (the variational

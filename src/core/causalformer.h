@@ -32,7 +32,7 @@ struct CausalFormerOptions {
   DetectorOptions detector;
 
   /// CPU-scale defaults for N series (hyper-parameters from Section 5.3,
-  /// scaled as documented in DESIGN.md).
+  /// scaled down for CPU training).
   static CausalFormerOptions ForSeries(int num_series, int64_t window = 16);
 };
 

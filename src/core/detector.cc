@@ -1,6 +1,8 @@
 #include "core/detector.h"
 
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "data/windowing.h"
 #include "interpret/gradient_modulation.h"
@@ -8,6 +10,7 @@
 #include "obs/trace.h"
 #include "tensor/allocator.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace causalformer {
 namespace core {
@@ -52,6 +55,62 @@ int DelayFromTap(int64_t window, int64_t tap, bool self_loop) {
   int delay = static_cast<int>(window - 1 - tap);
   if (self_loop) delay += 1;
   return delay;
+}
+
+// Runs fn(target) for target in [0, n) across the pool. Pool workers see
+// neither the caller's allocator nor its phase collector, so each chunk
+// installs its own of both.
+//
+// Allocator: an arena layered on DetectArena(), released only after the join.
+// A chunk's demand on the shared arena is then a fixed function of its own
+// serial allocation sequence, never of how the chunks interleave, so once
+// DetectArena() is warm, every later request of the same geometry is served
+// without a parent allocation, as a serial detect is.
+//
+// Phases: after the join the chunks' collectors fold into the caller's —
+// kernel timers (kernel.*) as summed per-op time, as a serial run records
+// them; the walk phases (backward, relevance) as their share of the chunks'
+// summed busy time applied to the section's wall time. Summing thread time
+// directly would let forward + backward + relevance + cluster exceed the
+// call's wall time.
+void ForEachTarget(int n, const std::function<void(int)>& fn) {
+  obs::PhaseCollector* const parent = obs::PhaseCollector::Current();
+  struct Chunk {
+    std::shared_ptr<ArenaAllocator> arena;
+    std::unique_ptr<obs::PhaseCollector> phases;  // null without a parent
+    double seconds = 0.0;
+  };
+  std::vector<Chunk> chunks(static_cast<size_t>(n));  // at chunk starts
+  const double start = parent != nullptr ? parent->clock().Now() : 0.0;
+
+  ParallelFor(n, /*grain=*/1, [&](int64_t begin, int64_t end) {
+    Chunk& chunk = chunks[static_cast<size_t>(begin)];
+    chunk.arena = std::make_shared<ArenaAllocator>(DetectArena());
+    ScopedAllocator arena_guard(chunk.arena);
+    if (parent != nullptr) {
+      chunk.phases = std::make_unique<obs::PhaseCollector>(parent->clock());
+      chunk.phases->set_collect_kernels(parent->collect_kernels());
+    }
+    obs::ScopedPhaseCollector install(chunk.phases.get());
+    const double chunk_start = parent != nullptr ? parent->clock().Now() : 0;
+    for (int64_t target = begin; target < end; ++target) {
+      fn(static_cast<int>(target));
+    }
+    if (parent != nullptr) chunk.seconds = parent->clock().Now() - chunk_start;
+  });
+  if (parent == nullptr) return;
+
+  const double wall = parent->clock().Now() - start;
+  double busy = 0.0;
+  for (const Chunk& chunk : chunks) busy += chunk.seconds;
+  const double walk_scale = busy > 0.0 ? wall / busy : 1.0;
+  for (const Chunk& chunk : chunks) {
+    if (chunk.phases == nullptr) continue;
+    for (const auto& [name, seconds] : chunk.phases->phases()) {
+      const bool is_kernel = name.rfind("kernel.", 0) == 0;
+      parent->Add(name.c_str(), is_kernel ? seconds : seconds * walk_scale);
+    }
+  }
 }
 
 }  // namespace
@@ -161,10 +220,20 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     }
   } else {
     // Full detector: per-target one-hot seeds over every request's rows; one
-    // gradient map + one relevance walk per target serves the whole batch.
-    // The tape's topo order is the same for every target, so walk it once.
-    const std::vector<Tensor> order = ReverseTopoOrder(fwd.prediction);
-    for (int target = 0; target < n; ++target) {
+    // gradient walk + one relevance walk per target serves the whole batch.
+    // Scoring reads only the attention matrices and the grouped kernel, so
+    // every walk runs on one plan pruned to those tensors, built once per
+    // forward pass and shared read-only by the targets' parallel walks.
+    std::vector<Tensor> wanted = fwd.attention;
+    wanted.push_back(fwd.kernel_groups);
+    const TapePlan plan(fwd.prediction, wanted);
+    interpret::RelevanceOptions ropts;
+    ropts.epsilon = options.epsilon;
+    ropts.bias_absorption = options.bias_absorption;
+
+    // Each target writes only its own cells: scores(·, target) and
+    // delays[·][target] of every request.
+    ForEachTarget(n, [&](int target) {
       Tensor seed = Tensor::Zeros(fwd.prediction.shape());
       {
         float* ps = seed.data();
@@ -176,16 +245,12 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
 
       const GradientMap grads = [&] {
         obs::ScopedPhaseTimer timer("backward");
-        return ComputeGradients(fwd.prediction, seed, order);
+        return ComputeGradients(fwd.prediction, seed, plan);
       }();
-
-      interpret::RelevanceOptions ropts;
-      ropts.epsilon = options.epsilon;
-      ropts.bias_absorption = options.bias_absorption;
       const interpret::RelevanceMap relevance = [&] {
         obs::ScopedPhaseTimer timer("relevance");
         return interpret::PropagateRelevance(fwd.prediction, seed, ropts,
-                                             order);
+                                             plan);
       }();
 
       // Attention scores (S(A)[target]) per request.
@@ -217,7 +282,7 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
               DelayFromTap(t_window, best, from == target);
         }
       }
-    }
+    });
   }
 
   const ClusterSelectOptions copts{options.num_clusters, options.top_clusters};

@@ -58,8 +58,10 @@ DetectionResult DetectCausalGraph(const CausalityTransformer& model,
 
 /// Detection for several independent window batches (each [B_i, N, T])
 /// against one trained model, coalesced into a single shared forward pass and
-/// one backward + relevance walk per target series. Used by the serving
-/// layer's micro-batcher.
+/// one backward + relevance walk per target series. The walks are pruned to
+/// the tensors scoring reads (attention matrices, grouped kernel) and the
+/// targets run in parallel on the global pool — inline when called from a
+/// pool task. Used by the serving layer's micro-batcher.
 ///
 /// Guarantees:
 ///  * Exactness — element i of the result equals DetectCausalGraphBatched
@@ -70,6 +72,9 @@ DetectionResult DetectCausalGraph(const CausalityTransformer& model,
 ///  * Re-entrancy — gradients go to a per-call map (ComputeGradients), never
 ///    into shared .grad buffers, and no model state is written, so any number
 ///    of threads may detect on the same model concurrently.
+///  * Determinism — each target is computed the same way on whichever thread
+///    runs it and writes only its own score and delay cells, so the result
+///    does not depend on the pool size.
 std::vector<DetectionResult> DetectCausalGraphBatched(
     const CausalityTransformer& model,
     const std::vector<Tensor>& window_batches,

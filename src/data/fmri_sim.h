@@ -13,7 +13,7 @@
 /// "networks" whose BOLD signals are *simulated* from known ground-truth
 /// connectivity with 5/10/15/50 regions and lengths between 50 and 5000.
 /// The original data files are not available offline, so this module
-/// regenerates the same kind of data (documented in DESIGN.md):
+/// regenerates the same kind of data:
 ///
 ///   1. sample a sparse directed graph (1–3 parents per node, no 2-cycles),
 ///   2. run stable linear latent dynamics z_t = A z_{t-1} + u_t,

@@ -45,61 +45,41 @@ bool IsBiasAdd(const Node& node) {
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options) {
   CF_CHECK(output.defined());
-  return PropagateRelevance(output, seed, options, ReverseTopoOrder(output));
+  return PropagateRelevance(output, seed, options, TapePlan(output));
 }
 
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options,
-                                const std::vector<Tensor>& order) {
+                                const TapePlan& plan) {
   CF_CHECK(output.defined());
-  // ReverseTopoOrder lists the root first; an order built for a different
-  // output would silently yield a near-empty map (the seed keys off output).
-  CF_CHECK(!order.empty() && order.front().impl() == output.impl())
-      << "order does not belong to output";
-  CF_CHECK(seed.defined());
-  CF_CHECK(seed.shape() == output.shape())
-      << "relevance seed " << seed.shape().ToString() << " vs output "
-      << output.shape().ToString();
+  // A plan built for a different output would silently yield a near-empty
+  // map (the seed keys off the plan's root).
+  CF_CHECK(plan.order().front().impl() == output.impl())
+      << "plan does not belong to output";
 
-  RelevanceMap relevance;
-  relevance[output.impl()] = seed.Clone();
-
-  for (const Tensor& t : order) {
-    const auto it = relevance.find(t.impl());
-    if (it == relevance.end()) continue;
-    const Tensor r_out = it->second;
-    const auto& fn = t.grad_fn();
-    if (fn == nullptr) continue;
-
-    std::vector<Tensor> contributions(fn->inputs.size());
-    if (!options.bias_absorption && IsBiasAdd(*fn)) {
+  const auto transform = [&options](const Tensor& f, const Node& node,
+                                    const Tensor& r_out,
+                                    const NeededMask& needed) {
+    std::vector<Tensor> contributions(node.inputs.size());
+    if (!options.bias_absorption && IsBiasAdd(node)) {
       // Route everything through the data operand; the bias gets nothing.
-      contributions[0] = ReduceToShape(r_out, fn->inputs[0].shape());
-    } else {
-      // Generic Eq. (17)/(18): R_in = x ⊙ vjp(R_out / f_out).
-      const Tensor s = SafeRatio(r_out, t, options.epsilon);
-      const std::vector<Tensor> cots = fn->vjp(t, s);
-      CF_CHECK_EQ(cots.size(), fn->inputs.size());
-      for (size_t i = 0; i < fn->inputs.size(); ++i) {
-        if (!fn->inputs[i].defined() || !cots[i].defined()) continue;
-        contributions[i] = HadamardRaw(fn->inputs[i], cots[i]);
+      if (needed[0]) {
+        contributions[0] = ReduceToShape(r_out, node.inputs[0].shape());
       }
+      return contributions;
     }
-
-    for (size_t i = 0; i < fn->inputs.size(); ++i) {
-      const Tensor& input = fn->inputs[i];
-      const Tensor& contrib = contributions[i];
-      if (!input.defined() || !contrib.defined()) continue;
-      auto [slot, inserted] = relevance.try_emplace(input.impl(), Tensor());
-      if (inserted) {
-        slot->second = contrib.Clone();
-      } else {
-        simd::Active().accumulate(slot->second.data(), contrib.data(),
-                                  contrib.numel());
-      }
+    // Generic Eq. (17)/(18): R_in = x ⊙ vjp(R_out / f_out).
+    const Tensor s = SafeRatio(r_out, f, options.epsilon);
+    const std::vector<Tensor> cots = node.vjp(f, s, needed);
+    CF_CHECK_EQ(cots.size(), node.inputs.size());
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
+      if (!needed[i] || !cots[i].defined()) continue;
+      contributions[i] = HadamardRaw(node.inputs[i], cots[i]);
     }
-  }
-  return relevance;
+    return contributions;
+  };
+  return ToTapeMap(plan, WalkTape(plan, seed, /*into_constants=*/true,
+                                  transform));
 }
 
 Tensor RelevanceOf(const RelevanceMap& map, const Tensor& t) {

@@ -1,7 +1,6 @@
 #ifndef CAUSALFORMER_INTERPRET_RELEVANCE_H_
 #define CAUSALFORMER_INTERPRET_RELEVANCE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "tensor/autograd.h"
@@ -20,8 +19,9 @@
 ///     R_in = x ⊙ (∂f/∂x)ᵀ s,   with  s = R_out / f_out,
 ///
 /// i.e. an input-weighted vector-Jacobian product. Every op on the autograd
-/// tape already carries its VJP, so a single generic walker implements RRP
-/// for the *whole* model — fully connected layers, activations, softmax,
+/// tape already carries its VJP, so the shared reverse walker (WalkTape, see
+/// tensor/autograd.h) with an input-weighting transform implements RRP for
+/// the *whole* model — fully connected layers, activations, softmax,
 /// matrix products, the causal convolution and attention combination — which
 /// is the paper's "interpret the whole structure" claim made literal.
 ///
@@ -46,7 +46,7 @@ struct RelevanceOptions {
 };
 
 /// Relevance per tape tensor, keyed by tensor identity.
-using RelevanceMap = std::unordered_map<internal::TensorImpl*, Tensor>;
+using RelevanceMap = TapeMap;
 
 /// Runs RRP from `output` seeded with `seed` (same shape; typically the
 /// one-hot row selection of Fig. 6a). Returns the relevance of every tensor
@@ -55,12 +55,12 @@ using RelevanceMap = std::unordered_map<internal::TensorImpl*, Tensor>;
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options = {});
 
-/// As above, but walks a caller-supplied ReverseTopoOrder(output) instead of
-/// recomputing it — for callers (the detector's per-target loop) that reuse
-/// one tape order across many seeds.
+/// As above, but walks a caller-supplied plan of `output` — for callers (the
+/// detector's per-target walks) that share one plan across many seeds. A
+/// pruned plan returns only the wanted tensors' relevance.
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options,
-                                const std::vector<Tensor>& order);
+                                const TapePlan& plan);
 
 /// Looks up the relevance of `t`, or an undefined Tensor when none reached it.
 Tensor RelevanceOf(const RelevanceMap& map, const Tensor& t);

@@ -115,7 +115,8 @@ Tensor UnaryOp(const std::string& name, const Tensor& x,
   const int64_t n = x.numel();
   for (int64_t i = 0; i < n; ++i) po[i] = fn(px[i]);
   return MakeOp(name, {x}, out,
-                [x, dfn_xy](const Tensor& y, const Tensor& cot) {
+                [x, dfn_xy](const Tensor& y, const Tensor& cot,
+                            const NeededMask&) {
                   Tensor gx = Tensor::Empty(x.shape());
                   const float* px = x.data();
                   const float* py = y.data();
@@ -134,7 +135,8 @@ Tensor UnaryOp(const std::string& name, const Tensor& x,
 Tensor ScaleOp(const std::string& name, const Tensor& x, float c) {
   Tensor out = Tensor::Empty(x.shape());
   simd::Active().scale(c, x.data(), out.data(), x.numel());
-  return MakeOp(name, {x}, out, [c](const Tensor& y, const Tensor& cot) {
+  return MakeOp(name, {x}, out, [c](const Tensor&, const Tensor& cot,
+                                    const NeededMask&) {
     Tensor gx = Tensor::Empty(cot.shape());
     simd::Active().scale(c, cot.data(), gx.data(), cot.numel());
     return std::vector<Tensor>{gx};
@@ -177,16 +179,20 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
 Tensor Add(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kAdd,
                                [](float x, float y) { return x + y; });
-  return MakeOp("add", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
-    return std::vector<Tensor>{ReduceToShape(cot, a.shape()),
-                               ReduceToShape(cot, b.shape())};
+  return MakeOp("add", {a, b}, out, [a, b](const Tensor&, const Tensor& cot,
+                                           const NeededMask& needed) {
+    // The broadcast reduce is the only work; skip it for an unneeded side.
+    return std::vector<Tensor>{
+        needed[0] ? ReduceToShape(cot, a.shape()) : Tensor(),
+        needed[1] ? ReduceToShape(cot, b.shape()) : Tensor()};
   });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kSub,
                                [](float x, float y) { return x - y; });
-  return MakeOp("sub", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
+  return MakeOp("sub", {a, b}, out, [a, b](const Tensor&, const Tensor& cot,
+                                           const NeededMask&) {
     Tensor gb = Tensor::Empty(cot.shape());
     simd::Active().scale(-1.0f, cot.data(), gb.data(), cot.numel());
     return std::vector<Tensor>{ReduceToShape(cot, a.shape()),
@@ -197,7 +203,8 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kMul,
                                [](float x, float y) { return x * y; });
-  return MakeOp("mul", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
+  return MakeOp("mul", {a, b}, out, [a, b](const Tensor&, const Tensor& cot,
+                                           const NeededMask&) {
     Tensor ga_full = BroadcastBinary(cot, b, BinKind::kMul,
                                      [](float c, float y) { return c * y; });
     Tensor gb_full = BroadcastBinary(cot, a, BinKind::kMul,
@@ -210,7 +217,8 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Div(const Tensor& a, const Tensor& b) {
   Tensor out = BroadcastBinary(a, b, BinKind::kDiv,
                                [](float x, float y) { return x / y; });
-  return MakeOp("div", {a, b}, out, [a, b](const Tensor&, const Tensor& cot) {
+  return MakeOp("div", {a, b}, out, [a, b](const Tensor&, const Tensor& cot,
+                                           const NeededMask&) {
     Tensor ga_full = BroadcastBinary(cot, b, BinKind::kDiv,
                                      [](float c, float y) { return c / y; });
     Tensor tmp = BroadcastBinary(

@@ -21,7 +21,8 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
       << "Reshape " << x.shape().ToString() << " -> " << shape.ToString();
   Tensor out = Tensor::FromVector(
       shape, std::vector<float>(x.data(), x.data() + x.numel()));
-  return MakeOp("reshape", {x}, out, [x](const Tensor&, const Tensor& cot) {
+  return MakeOp("reshape", {x}, out, [x](const Tensor&, const Tensor& cot,
+                                         const NeededMask&) {
     Tensor g = Tensor::FromVector(
         x.shape(), std::vector<float>(cot.data(), cot.data() + cot.numel()));
     return std::vector<Tensor>{g};
@@ -58,7 +59,7 @@ Tensor Transpose(const Tensor& x, int dim0, int dim1) {
     }
   }
   return MakeOp("transpose", {x}, out,
-                [d0, d1](const Tensor&, const Tensor& cot) {
+                [d0, d1](const Tensor&, const Tensor& cot, const NeededMask&) {
                   // Gradient of a transpose is the same transpose. The
                   // cotangent never requires grad, so no tape node is added.
                   return std::vector<Tensor>{Transpose(cot, d0, d1)};
@@ -87,7 +88,8 @@ Tensor Slice(const Tensor& x, int axis, int64_t start, int64_t end) {
   }
   return MakeOp(
       "slice", {x}, out,
-      [x, outer, inner, len, out_len, start](const Tensor&, const Tensor& cot) {
+      [x, outer, inner, len, out_len, start](const Tensor&, const Tensor& cot,
+                                             const NeededMask&) {
         Tensor g = Tensor::Zeros(x.shape());
         const float* pc = cot.data();
         float* pg = g.data();
@@ -137,7 +139,8 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
 
   return MakeOp("concat", parts, out,
                 [parts, part_lens, outer, inner, total](const Tensor&,
-                                                        const Tensor& cot) {
+                                                        const Tensor& cot,
+                                                        const NeededMask&) {
                   std::vector<Tensor> grads;
                   grads.reserve(parts.size());
                   const float* pc = cot.data();
@@ -191,7 +194,8 @@ Tensor TileBatch(const Tensor& x, int64_t count) {
     std::memcpy(po + c * inner, px, static_cast<size_t>(inner) * sizeof(float));
   }
   return MakeOp("tile_batch", {x}, out,
-                [x, count, inner](const Tensor&, const Tensor& cot) {
+                [x, count, inner](const Tensor&, const Tensor& cot,
+                                  const NeededMask&) {
                   Tensor g = Tensor::Zeros(x.shape());
                   float* pg = g.data();
                   const float* pc = cot.data();

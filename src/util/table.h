@@ -26,7 +26,7 @@ class Table {
   /// Renders with two-space column gaps and a separator under the header.
   std::string ToString() const;
 
-  /// Renders as markdown (`| a | b |`), useful for EXPERIMENTS.md.
+  /// Renders as markdown (`| a | b |`).
   std::string ToMarkdown() const;
 
   int num_rows() const { return static_cast<int>(rows_.size()); }

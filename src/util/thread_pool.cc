@@ -9,8 +9,11 @@
 
 namespace causalformer {
 namespace {
-// True on pool worker threads; ParallelFor then runs inline to avoid a
-// worker blocking in Wait() on tasks that only it could run.
+// True on pool worker threads, and on a ParallelFor caller while it runs its
+// own chunk: nested ParallelFor calls then run inline. A worker blocking in
+// a latch wait on tasks only it could run would deadlock, and a caller
+// fanning out again would queue its inner chunks behind its siblings' outer
+// ones and idle until a worker freed up.
 thread_local bool t_in_worker = false;
 }  // namespace
 
@@ -136,7 +139,9 @@ void ParallelFor(int64_t n, int64_t grain,
     });
   }
   // The caller works on the first chunk instead of idling in the wait.
+  t_in_worker = true;
   fn(0, std::min(n, chunk_size));
+  t_in_worker = false;
   latch.Wait();
 }
 

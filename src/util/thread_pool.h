@@ -54,7 +54,8 @@ class ThreadPool {
 /// Runs fn(begin, end) over [0, n) split into roughly equal chunks across the
 /// global pool; the calling thread executes the first chunk itself and a
 /// per-call latch tracks the rest, so the call is safe from any number of
-/// concurrent threads and re-entrant (nested calls run inline on the caller).
+/// concurrent threads and re-entrant (nested calls — from any chunk, the
+/// caller's included — run inline).
 /// Falls back to a single inline call when n is small or the pool has one
 /// thread. `grain` is the minimum chunk size worth parallelising.
 void ParallelFor(int64_t n, int64_t grain,

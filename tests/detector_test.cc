@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <thread>
 
 #include "core/causalformer.h"
 #include "core/detector.h"
 #include "data/synthetic.h"
 #include "data/windowing.h"
 #include "graph/metrics.h"
+#include "obs/trace.h"
+#include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace causalformer {
 namespace {
@@ -176,6 +185,126 @@ TEST(DetectorTest, MaxWindowsLimitsInterpretationBatch) {
   opt.max_windows = 2;  // tiny interpretation batch must still work
   const DetectionResult res = cf.Discover(opt);
   EXPECT_EQ(res.graph.num_series(), 2);
+}
+
+// A 6-series model on random windows: enough targets to fan out over a
+// 4-worker pool in uneven chunks.
+core::CausalityTransformer SixSeriesModel(Rng* rng, bool multi_kernel) {
+  core::ModelOptions mopt;
+  mopt.num_series = 6;
+  mopt.window = 8;
+  mopt.d_model = 16;
+  mopt.d_qk = 16;
+  mopt.heads = 2;
+  mopt.d_ffn = 16;
+  mopt.multi_kernel = multi_kernel;
+  return core::CausalityTransformer(mopt, rng);
+}
+
+bool SameScoresAndDelays(const DetectionResult& a, const DetectionResult& b) {
+  const int n = a.scores.num_series();
+  if (b.scores.num_series() != n) return false;
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) {
+      const double x = a.scores.at(from, to);
+      const double y = b.scores.at(from, to);
+      if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+      if (a.delays[from][to] != b.delays[from][to]) return false;
+    }
+  }
+  return true;
+}
+
+// The per-target walks fan out over the pool from a plain thread; inside a
+// pool task the same call runs them serially (nested ParallelFor is inline).
+// Both must produce the same bits: every target is computed the same way on
+// whichever thread runs it.
+TEST(DetectorTest, ParallelTargetsEqualSerialBitForBit) {
+  for (const bool multi_kernel : {true, false}) {
+    Rng rng(multi_kernel ? 31 : 32);
+    const core::CausalityTransformer model = SixSeriesModel(&rng, multi_kernel);
+    const std::vector<Tensor> batches = {
+        Tensor::Randn(Shape{5, 6, 8}, &rng), Tensor::Randn(Shape{3, 6, 8}, &rng)};
+    for (const bool bias : {true, false}) {
+      DetectorOptions opt;
+      opt.bias_absorption = bias;
+      const std::vector<DetectionResult> parallel =
+          core::DetectCausalGraphBatched(model, batches, opt);
+
+      std::vector<DetectionResult> serial;
+      std::mutex mu;
+      std::condition_variable cv;
+      bool done = false;
+      ThreadPool::Global().Schedule([&] {
+        std::vector<DetectionResult> r =
+            core::DetectCausalGraphBatched(model, batches, opt);
+        std::lock_guard<std::mutex> lock(mu);
+        serial = std::move(r);
+        done = true;
+        cv.notify_all();
+      });
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return done; });
+
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (size_t r = 0; r < parallel.size(); ++r) {
+        EXPECT_TRUE(SameScoresAndDelays(parallel[r], serial[r]))
+            << "request " << r << " multi_kernel=" << multi_kernel
+            << " bias_absorption=" << bias;
+      }
+    }
+  }
+}
+
+// With a collector installed, the walk phases timed on pool workers land in
+// the caller's collector (with kernel timers), and the detector phases stay
+// a decomposition of the call: they never add up to more than its wall time.
+TEST(DetectorTest, WorkerPhasesReachTheCallersCollector) {
+  if (ThreadPool::Global().num_threads() < 4) {
+    GTEST_SKIP() << "needs a pool of >= 4 workers (CF_NUM_THREADS=4)";
+  }
+  Rng rng(33);
+  const core::CausalityTransformer model = SixSeriesModel(&rng, true);
+  const Tensor windows = Tensor::Randn(Shape{8, 6, 8}, &rng);
+
+  // The collector's clock counts its reads per thread: a timer on a worker
+  // reads the (copied) clock of its chunk-local collector at start and stop.
+  std::mutex mu;
+  std::map<std::thread::id, int> clock_reads;
+  obs::PhaseCollector collector(obs::Clock([&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ++clock_reads[std::this_thread::get_id()];
+    }
+    return obs::SteadySeconds();
+  }));
+  collector.set_collect_kernels(true);
+  Stopwatch wall;
+  {
+    obs::ScopedPhaseCollector install(&collector);
+    core::DetectCausalGraph(model, windows, {});
+  }
+  const double wall_seconds = wall.ElapsedSeconds();
+
+  double detector_total = 0.0;
+  std::map<std::string, double> phases;
+  for (const auto& [name, seconds] : collector.phases()) phases[name] = seconds;
+  for (const char* name : {"forward", "backward", "relevance", "cluster"}) {
+    detector_total += phases[name];
+  }
+  EXPECT_GT(phases["backward"], 0.0);
+  EXPECT_GT(phases["relevance"], 0.0);
+  EXPECT_GT(phases["kernel.matmul"], 0.0);
+  EXPECT_LE(detector_total, wall_seconds);
+  // Some worker timed at least a backward and a relevance walk.
+  std::lock_guard<std::mutex> lock(mu);
+  int most_worker_reads = 0;
+  for (const auto& [thread, reads] : clock_reads) {
+    if (thread != std::this_thread::get_id()) {
+      most_worker_reads = std::max(most_worker_reads, reads);
+    }
+  }
+  EXPECT_GE(most_worker_reads, 4) << "no walk was timed on a worker";
 }
 
 }  // namespace

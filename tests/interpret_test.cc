@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "core/causality_transformer.h"
 #include "interpret/gradient_modulation.h"
 #include "interpret/relevance.h"
 #include "tensor/ops.h"
@@ -14,6 +16,12 @@ using interpret::PropagateRelevance;
 using interpret::RelevanceMap;
 using interpret::RelevanceOf;
 using interpret::RelevanceOptions;
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.defined() && b.defined() && a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
 
 double SumOf(const Tensor& t) {
   double s = 0.0;
@@ -187,6 +195,127 @@ TEST(GradientModulationTest, AblationVariants) {
   Tensor rr = interpret::RectifiedRelevanceScore(r);
   EXPECT_FLOAT_EQ(rr.at({0}), 0.0f);
   EXPECT_FLOAT_EQ(rr.at({1}), 2.0f);
+}
+
+// ---- Pruned reverse walks ---------------------------------------------------
+
+struct PrunedWalkCase {
+  bool multi_kernel;
+  bool bias_absorption;
+  int requests;  ///< row groups in the grouped forward (1 or 2)
+};
+
+class PrunedWalkTest : public ::testing::TestWithParam<PrunedWalkCase> {};
+
+// The detector's walks, pruned to {attention..., kernel_groups}, must give
+// every wanted tensor exactly — memcmp-equal — the gradient and relevance of
+// the full walk, and so the same score under every ablation combination.
+TEST_P(PrunedWalkTest, WantedTensorsMatchFullWalkBitForBit) {
+  const PrunedWalkCase c = GetParam();
+  Rng rng(21);
+  core::ModelOptions mopt;
+  mopt.num_series = 4;
+  mopt.window = 8;
+  mopt.d_model = 8;
+  mopt.d_qk = 8;
+  mopt.heads = 2;
+  mopt.d_ffn = 8;
+  mopt.multi_kernel = c.multi_kernel;
+  const core::CausalityTransformer model(mopt, &rng);
+  const Tensor x = Tensor::Randn(Shape{6, 4, 8}, &rng);
+  std::vector<int> row_groups(6, 0);
+  if (c.requests == 2) row_groups = {0, 0, 0, 1, 1, 1};
+  const core::ForwardResult fwd =
+      model.ForwardGrouped(x, row_groups, c.requests);
+
+  std::vector<Tensor> wanted = fwd.attention;
+  wanted.push_back(fwd.kernel_groups);
+  const TapePlan full(fwd.prediction);
+  const TapePlan pruned(fwd.prediction, wanted);
+  ASSERT_FALSE(full.pruned());
+  ASSERT_TRUE(pruned.pruned());
+  RelevanceOptions ropts;
+  ropts.bias_absorption = c.bias_absorption;
+
+  for (int target = 0; target < 4; ++target) {
+    Tensor seed = Tensor::Zeros(fwd.prediction.shape());
+    for (int64_t b = 0; b < 6; ++b) {
+      for (int64_t t = 0; t < 8; ++t) seed.at({b, target, t}) = 1.0f;
+    }
+    const GradientMap g_full = ComputeGradients(fwd.prediction, seed, full);
+    const GradientMap g_pruned =
+        ComputeGradients(fwd.prediction, seed, pruned);
+    const RelevanceMap r_full =
+        PropagateRelevance(fwd.prediction, seed, ropts, full);
+    const RelevanceMap r_pruned =
+        PropagateRelevance(fwd.prediction, seed, ropts, pruned);
+    // A pruned walk releases every value it does not hand back.
+    EXPECT_EQ(g_pruned.size(), wanted.size());
+    EXPECT_EQ(r_pruned.size(), wanted.size());
+    for (const Tensor& w : wanted) {
+      const Tensor g = GradientOf(g_full, w);
+      const Tensor r = RelevanceOf(r_full, w);
+      ASSERT_TRUE(BitEqual(g, GradientOf(g_pruned, w))) << "target " << target;
+      ASSERT_TRUE(BitEqual(r, RelevanceOf(r_pruned, w))) << "target " << target;
+      // The Table 3 score variants: both, use_relevance off, use_gradient off.
+      const Tensor rp = RelevanceOf(r_pruned, w);
+      const Tensor gp = GradientOf(g_pruned, w);
+      EXPECT_TRUE(BitEqual(interpret::ModulateByGradient(r, g),
+                           interpret::ModulateByGradient(rp, gp)));
+      EXPECT_TRUE(BitEqual(interpret::AbsGradientScore(g),
+                           interpret::AbsGradientScore(gp)));
+      EXPECT_TRUE(BitEqual(interpret::RectifiedRelevanceScore(r),
+                           interpret::RectifiedRelevanceScore(rp)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DetectorWalks, PrunedWalkTest,
+    ::testing::Values(PrunedWalkCase{true, true, 1},
+                      PrunedWalkCase{false, true, 1},
+                      PrunedWalkCase{true, false, 1},
+                      PrunedWalkCase{false, false, 1},
+                      PrunedWalkCase{true, true, 2},
+                      PrunedWalkCase{false, false, 2}));
+
+// Without a wanted set the walk keeps every tensor it reaches — the full map
+// RunBackward accumulates from: a gradient for every tape tensor that
+// requires one, intermediates included, and a relevance for every tensor.
+TEST(PrunedWalkTest, FullPlanKeepsEveryTensor) {
+  Rng rng(22);
+  core::ModelOptions mopt;
+  mopt.num_series = 3;
+  mopt.window = 6;
+  mopt.d_model = 8;
+  mopt.d_qk = 8;
+  mopt.d_ffn = 8;
+  const core::CausalityTransformer model(mopt, &rng);
+  const core::ForwardResult fwd =
+      model.Forward(Tensor::Randn(Shape{2, 3, 6}, &rng));
+  const TapePlan plan(fwd.prediction);
+  const Tensor seed = Tensor::Ones(fwd.prediction.shape());
+  const GradientMap grads = ComputeGradients(fwd.prediction, seed, plan);
+  const RelevanceMap relevance =
+      PropagateRelevance(fwd.prediction, seed, RelevanceOptions(), plan);
+  size_t differentiable = 0;
+  for (const Tensor& t : plan.order()) {
+    EXPECT_TRUE(RelevanceOf(relevance, t).defined());
+    if (!t.requires_grad()) continue;
+    ++differentiable;
+    EXPECT_TRUE(GradientOf(grads, t).defined());
+  }
+  EXPECT_EQ(grads.size(), differentiable);
+  EXPECT_EQ(relevance.size(), plan.order().size());
+
+  // RunBackward accumulates exactly those gradients into .grad.
+  fwd.prediction.Backward(seed);
+  for (const Tensor& a : fwd.attention) {
+    EXPECT_TRUE(BitEqual(a.grad(), GradientOf(grads, a)));
+  }
+  for (const Tensor& p : model.Parameters()) {
+    EXPECT_TRUE(BitEqual(p.grad(), GradientOf(grads, p)));
+  }
 }
 
 }  // namespace
