@@ -6,8 +6,8 @@
 //
 // Then times whole detections (detect_e2e): DetectCausalGraph on a randomly
 // initialised model for several (N series, d_model, B windows) geometries,
-// once single-threaded and once with the per-target walks fanned out over the
-// pool, with per-phase (forward/backward/relevance/cluster) columns.
+// once single-threaded and once with the conv and attention kernels split over
+// the pool, with per-phase (forward/backward/relevance/cluster) columns.
 //
 // Self-contained (no google-benchmark): each case runs for a fixed iteration
 // budget, best-of-3 repetitions. Kernel cases and the single-thread detect

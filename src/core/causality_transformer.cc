@@ -68,9 +68,17 @@ ForwardResult CausalityTransformer::ForwardGrouped(
   CF_CHECK_EQ(x.dim(2), options_.window);
   CF_CHECK_GT(num_groups, 0);
 
-  const Tensor kernel_groups = TileBatch(kernel_, num_groups);
-  Tensor conv = GroupedMultiKernelCausalConv(x, kernel_groups, row_groups,
-                                             !options_.multi_kernel);
+  // The shared kernel of the "w/o multi conv kernel" ablation is expanded to
+  // one bitwise-equal copy per target, so a kernel column only ever receives
+  // its own target's cotangent, as in the multi-kernel model.
+  Tensor per_target = kernel_;
+  if (!options_.multi_kernel) {
+    const std::vector<Tensor> copies(
+        static_cast<size_t>(options_.num_series), kernel_);
+    per_target = Concat(copies, /*axis=*/1);
+  }
+  const Tensor kernel_groups = TileBatch(per_target, num_groups);
+  Tensor conv = GroupedMultiKernelCausalConv(x, kernel_groups, row_groups);
   ForwardResult result = ForwardFromConv(x, ShiftRightDiagonal(conv));
   result.kernel_groups = kernel_groups;
   return result;

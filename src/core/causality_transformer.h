@@ -50,9 +50,11 @@ struct ForwardResult {
   std::vector<Tensor> attention;  ///< per head: [B, N, N] (softmax output)
   Tensor conv;                    ///< [B, N, N, T] after diagonal shift
   /// Grouped forward only: the per-group tiled convolution kernel
-  /// [G, N, N|1, T]. Gradients/relevance of group g come exclusively from
-  /// batch rows assigned to g, which is what lets the batched detector read
-  /// per-request kernel scores out of one shared backward pass.
+  /// [G, N, N, T] (a shared kernel is expanded to one copy per target).
+  /// Gradients/relevance of group g come exclusively from batch rows assigned
+  /// to g, and those of column j only from the prediction rows of series j,
+  /// which is what lets the batched detector read per-request, per-target
+  /// kernel scores out of one shared backward pass.
   Tensor kernel_groups;
 };
 

@@ -1,8 +1,7 @@
 #include "core/detector.h"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
-#include <memory>
 
 #include "data/windowing.h"
 #include "interpret/gradient_modulation.h"
@@ -10,7 +9,6 @@
 #include "obs/trace.h"
 #include "tensor/allocator.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace causalformer {
 namespace core {
@@ -55,62 +53,6 @@ int DelayFromTap(int64_t window, int64_t tap, bool self_loop) {
   int delay = static_cast<int>(window - 1 - tap);
   if (self_loop) delay += 1;
   return delay;
-}
-
-// Runs fn(target) for target in [0, n) across the pool. Pool workers see
-// neither the caller's allocator nor its phase collector, so each chunk
-// installs its own of both.
-//
-// Allocator: an arena layered on DetectArena(), released only after the join.
-// A chunk's demand on the shared arena is then a fixed function of its own
-// serial allocation sequence, never of how the chunks interleave, so once
-// DetectArena() is warm, every later request of the same geometry is served
-// without a parent allocation, as a serial detect is.
-//
-// Phases: after the join the chunks' collectors fold into the caller's —
-// kernel timers (kernel.*) as summed per-op time, as a serial run records
-// them; the walk phases (backward, relevance) as their share of the chunks'
-// summed busy time applied to the section's wall time. Summing thread time
-// directly would let forward + backward + relevance + cluster exceed the
-// call's wall time.
-void ForEachTarget(int n, const std::function<void(int)>& fn) {
-  obs::PhaseCollector* const parent = obs::PhaseCollector::Current();
-  struct Chunk {
-    std::shared_ptr<ArenaAllocator> arena;
-    std::unique_ptr<obs::PhaseCollector> phases;  // null without a parent
-    double seconds = 0.0;
-  };
-  std::vector<Chunk> chunks(static_cast<size_t>(n));  // at chunk starts
-  const double start = parent != nullptr ? parent->clock().Now() : 0.0;
-
-  ParallelFor(n, /*grain=*/1, [&](int64_t begin, int64_t end) {
-    Chunk& chunk = chunks[static_cast<size_t>(begin)];
-    chunk.arena = std::make_shared<ArenaAllocator>(DetectArena());
-    ScopedAllocator arena_guard(chunk.arena);
-    if (parent != nullptr) {
-      chunk.phases = std::make_unique<obs::PhaseCollector>(parent->clock());
-      chunk.phases->set_collect_kernels(parent->collect_kernels());
-    }
-    obs::ScopedPhaseCollector install(chunk.phases.get());
-    const double chunk_start = parent != nullptr ? parent->clock().Now() : 0;
-    for (int64_t target = begin; target < end; ++target) {
-      fn(static_cast<int>(target));
-    }
-    if (parent != nullptr) chunk.seconds = parent->clock().Now() - chunk_start;
-  });
-  if (parent == nullptr) return;
-
-  const double wall = parent->clock().Now() - start;
-  double busy = 0.0;
-  for (const Chunk& chunk : chunks) busy += chunk.seconds;
-  const double walk_scale = busy > 0.0 ? wall / busy : 1.0;
-  for (const Chunk& chunk : chunks) {
-    if (chunk.phases == nullptr) continue;
-    for (const auto& [name, seconds] : chunk.phases->phases()) {
-      const bool is_kernel = name.rfind("kernel.", 0) == 0;
-      parent->Add(name.c_str(), is_kernel ? seconds : seconds * walk_scale);
-    }
-  }
 }
 
 }  // namespace
@@ -175,114 +117,79 @@ std::vector<DetectionResult> DetectCausalGraphBatched(
     obs::ScopedPhaseTimer timer("forward");
     return model.ForwardGrouped(x, row_groups, num_requests);
   }();
-  const bool shared = !mopt.multi_kernel;
-  const int64_t kdim2 = fwd.kernel_groups.dim(2);
 
-  // Tap row of the grouped kernel-score tensor [G, N, N|1, T].
-  auto kernel_row = [&](const Tensor& score_k, int group, int from, int to) {
-    const int64_t kj = shared ? 0 : to;
-    return score_k.data() +
-           ((static_cast<int64_t>(group) * n + from) * kdim2 + kj) * t_window;
-  };
-  auto best_tap = [&](const float* taps) {
-    int64_t best = 0;
-    for (int64_t k = 1; k < t_window; ++k) {
-      if (taps[k] > taps[best]) best = k;
-    }
-    return best;
-  };
-
-  if (!options.use_interpretation) {
-    // Ablation "w/o interpretation": attention weights and raw |K| scores.
-    for (const Tensor& a : fwd.attention) {
-      for (int r = 0; r < num_requests; ++r) {
-        const std::vector<double> mean =
-            BatchMeanMatrixRange(a, offsets[r], offsets[r] + counts[r]);
-        for (int to = 0; to < n; ++to) {
-          for (int from = 0; from < n; ++from) {
-            results[r].scores.add(
-                from, to,
-                mean[static_cast<size_t>(to) * n + from] /
-                    static_cast<double>(fwd.attention.size()));
-          }
+  // Scores are read per target `to`: S(A)[to] is row `to` of each head's
+  // attention score [B, N, N], averaged over the request's rows; S(K)[to] is
+  // column `to` of the request's group in the kernel score [G, N, N, T].
+  auto add_head_scores = [&](const Tensor& s) {
+    for (int r = 0; r < num_requests; ++r) {
+      const std::vector<double> mean =
+          BatchMeanMatrixRange(s, offsets[r], offsets[r] + counts[r]);
+      for (int to = 0; to < n; ++to) {
+        for (int from = 0; from < n; ++from) {
+          results[r].scores.add(from, to,
+                                mean[static_cast<size_t>(to) * n + from] /
+                                    static_cast<double>(fwd.attention.size()));
         }
       }
     }
-    const Tensor abs_k = interpret::AbsGradientScore(fwd.kernel_groups);
+  };
+  // Kernel scores -> delays (Eq. 20): the argmax tap of each (from, to) row.
+  auto read_delays = [&](const Tensor& score_k) {
     for (int r = 0; r < num_requests; ++r) {
       for (int to = 0; to < n; ++to) {
         for (int from = 0; from < n; ++from) {
-          const int64_t best = best_tap(kernel_row(abs_k, r, from, to));
+          const float* taps =
+              score_k.data() +
+              ((static_cast<int64_t>(r) * n + from) * n + to) * t_window;
+          int64_t best = 0;
+          for (int64_t k = 1; k < t_window; ++k) {
+            if (taps[k] > taps[best]) best = k;
+          }
           results[r].delays[from][to] =
               DelayFromTap(t_window, best, from == to);
         }
       }
     }
+  };
+
+  if (!options.use_interpretation) {
+    // Ablation "w/o interpretation": attention weights and raw |K| scores.
+    for (const Tensor& a : fwd.attention) add_head_scores(a);
+    read_delays(interpret::AbsGradientScore(fwd.kernel_groups));
   } else {
-    // Full detector: per-target one-hot seeds over every request's rows; one
-    // gradient walk + one relevance walk per target serves the whole batch.
-    // Scoring reads only the attention matrices and the grouped kernel, so
-    // every walk runs on one plan pruned to those tensors, built once per
-    // forward pass and shared read-only by the targets' parallel walks.
+    // Full detector. Every layer above the attention acts on each (window,
+    // series) row separately and both walks are linear in the seed, so one
+    // all-ones seed carries every target's one-hot seed in its own row: row
+    // `to` of each attention score and column `to` of the kernel score are
+    // bit for bit what a walk seeded with target `to` alone would give.
+    // Scoring reads only those tensors, so both walks run on one plan pruned
+    // to them.
     std::vector<Tensor> wanted = fwd.attention;
     wanted.push_back(fwd.kernel_groups);
     const TapePlan plan(fwd.prediction, wanted);
     interpret::RelevanceOptions ropts;
     ropts.epsilon = options.epsilon;
     ropts.bias_absorption = options.bias_absorption;
+    const Tensor seed = Tensor::Ones(fwd.prediction.shape());
 
-    // Each target writes only its own cells: scores(·, target) and
-    // delays[·][target] of every request.
-    ForEachTarget(n, [&](int target) {
-      Tensor seed = Tensor::Zeros(fwd.prediction.shape());
-      {
-        float* ps = seed.data();
-        for (int64_t bi = 0; bi < total_rows; ++bi) {
-          float* row = ps + (bi * n + target) * t_window;
-          for (int64_t t = 0; t < t_window; ++t) row[t] = 1.0f;
-        }
-      }
+    const GradientMap grads = [&] {
+      obs::ScopedPhaseTimer timer("backward");
+      return ComputeGradients(fwd.prediction, seed, plan);
+    }();
+    const interpret::RelevanceMap relevance = [&] {
+      obs::ScopedPhaseTimer timer("relevance");
+      return interpret::PropagateRelevance(fwd.prediction, seed, ropts, plan);
+    }();
 
-      const GradientMap grads = [&] {
-        obs::ScopedPhaseTimer timer("backward");
-        return ComputeGradients(fwd.prediction, seed, plan);
-      }();
-      const interpret::RelevanceMap relevance = [&] {
-        obs::ScopedPhaseTimer timer("relevance");
-        return interpret::PropagateRelevance(fwd.prediction, seed, ropts,
-                                             plan);
-      }();
-
-      // Attention scores (S(A)[target]) per request.
-      for (const Tensor& a : fwd.attention) {
-        const Tensor s =
-            CombineScores(interpret::RelevanceOf(relevance, a),
-                          GradientOf(grads, a), a.shape(), options);
-        for (int r = 0; r < num_requests; ++r) {
-          const std::vector<double> mean =
-              BatchMeanMatrixRange(s, offsets[r], offsets[r] + counts[r]);
-          for (int from = 0; from < n; ++from) {
-            results[r].scores.add(
-                from, target,
-                mean[static_cast<size_t>(target) * n + from] /
-                    static_cast<double>(fwd.attention.size()));
-          }
-        }
-      }
-
-      // Kernel scores -> delays (Eq. 20), per request via the kernel group.
-      const Tensor s_k = CombineScores(
-          interpret::RelevanceOf(relevance, fwd.kernel_groups),
-          GradientOf(grads, fwd.kernel_groups), fwd.kernel_groups.shape(),
-          options);
-      for (int r = 0; r < num_requests; ++r) {
-        for (int from = 0; from < n; ++from) {
-          const int64_t best = best_tap(kernel_row(s_k, r, from, target));
-          results[r].delays[from][target] =
-              DelayFromTap(t_window, best, from == target);
-        }
-      }
-    });
+    for (const Tensor& a : fwd.attention) {
+      add_head_scores(CombineScores(interpret::RelevanceOf(relevance, a),
+                                    GradientOf(grads, a), a.shape(), options));
+    }
+    read_delays(CombineScores(
+        interpret::RelevanceOf(relevance, fwd.kernel_groups),
+        GradientOf(grads, fwd.kernel_groups), fwd.kernel_groups.shape(),
+        options));
   }
 
   const ClusterSelectOptions copts{options.num_clusters, options.top_clusters};

@@ -10,9 +10,10 @@
 /// \file
 /// The decomposition-based causality detector (Section 4.2, Fig. 6).
 ///
-/// For each target series i the detector:
+/// The paper's detector, for each target series i:
 ///   1. seeds the trained model's output with the one-hot relevance
-///      R^(L) = [0, ..., 1_i, ..., 0] ⊗ 1_T over a batch of windows,
+///      R^(L) = [0, ..., 1_i, ..., 0] ⊗ 1_T over a batch of windows (this
+///      implementation seeds all targets at once, see below),
 ///   2. backward-propagates gradients (for Eq. 19) and relevance (RRP,
 ///      Eq. 15-18) down to the attention matrices A and the causal
 ///      convolution kernels K,
@@ -22,6 +23,14 @@
 ///   5. reads each edge's delay from the kernel scores (Eq. 20):
 ///      d(e_{j,i}) = T - argmax_t S(K)[i]_{j,i,t} (plus one slot for
 ///      self-loops, whose convolution output is right-shifted).
+///
+/// Steps 1-2 run once for all targets, not once per target. Both walks are
+/// linear in the seed, and every layer above the attention (output layer,
+/// FFN, LeakyReLU, head sum, W_O) acts on each (window, series) row on its
+/// own, so target i's one-hot walk reaches only row i of each A and column
+/// i of K. One walk seeded with all ones therefore holds every target's
+/// result: S(A)[i] is read from row i and S(K)[i] from column i, bit for
+/// bit equal to the per-target walks.
 
 namespace causalformer {
 namespace core {
@@ -57,11 +66,10 @@ DetectionResult DetectCausalGraph(const CausalityTransformer& model,
                                   const DetectorOptions& options = {});
 
 /// Detection for several independent window batches (each [B_i, N, T])
-/// against one trained model, coalesced into a single shared forward pass and
-/// one backward + relevance walk per target series. The walks are pruned to
-/// the tensors scoring reads (attention matrices, grouped kernel) and the
-/// targets run in parallel on the global pool — inline when called from a
-/// pool task. Used by the serving layer's micro-batcher.
+/// against one trained model, coalesced into a single shared forward pass,
+/// one gradient walk and one relevance walk for all targets. The walks are
+/// pruned to the tensors scoring reads (attention matrices, grouped kernel).
+/// Used by the serving layer's micro-batcher.
 ///
 /// Guarantees:
 ///  * Exactness — element i of the result equals DetectCausalGraphBatched
@@ -72,9 +80,9 @@ DetectionResult DetectCausalGraph(const CausalityTransformer& model,
 ///  * Re-entrancy — gradients go to a per-call map (ComputeGradients), never
 ///    into shared .grad buffers, and no model state is written, so any number
 ///    of threads may detect on the same model concurrently.
-///  * Determinism — each target is computed the same way on whichever thread
-///    runs it and writes only its own score and delay cells, so the result
-///    does not depend on the pool size.
+///  * Determinism — the walks run on the calling thread, and the kernels they
+///    call split work over the pool without changing any element's
+///    accumulation order, so the result does not depend on the pool size.
 std::vector<DetectionResult> DetectCausalGraphBatched(
     const CausalityTransformer& model,
     const std::vector<Tensor>& window_batches,

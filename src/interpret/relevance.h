@@ -48,16 +48,17 @@ struct RelevanceOptions {
 /// Relevance per tape tensor, keyed by tensor identity.
 using RelevanceMap = TapeMap;
 
-/// Runs RRP from `output` seeded with `seed` (same shape; typically the
-/// one-hot row selection of Fig. 6a). Returns the relevance of every tensor
-/// reached on the tape, including leaf parameters such as the causal
-/// convolution kernels.
+/// Runs RRP from `output` seeded with `seed` (same shape; the one-hot row
+/// selection of Fig. 6a, or all ones to serve every row at once). Returns
+/// the relevance of every tensor reached on the tape, including leaf
+/// parameters such as the causal convolution kernels.
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options = {});
 
-/// As above, but walks a caller-supplied plan of `output` — for callers (the
-/// detector's per-target walks) that share one plan across many seeds. A
-/// pruned plan returns only the wanted tensors' relevance.
+/// As above, but walks a caller-supplied plan of `output` — for callers that
+/// build the plan once and reuse it (the detector shares one pruned plan
+/// between its gradient and relevance walks). A pruned plan returns only the
+/// wanted tensors' relevance.
 RelevanceMap PropagateRelevance(const Tensor& output, const Tensor& seed,
                                 const RelevanceOptions& options,
                                 const TapePlan& plan);

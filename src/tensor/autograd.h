@@ -137,9 +137,10 @@ using GradientMap = TapeMap;
 /// concurrently — the property the serving layer's detector relies on.
 GradientMap ComputeGradients(const Tensor& root, const Tensor& seed);
 
-/// As above, but walks a caller-supplied plan of `root` — for callers (the
-/// detector's per-target walks) that share one plan across many seeds. A
-/// pruned plan returns only the wanted tensors' gradients.
+/// As above, but walks a caller-supplied plan of `root` — for callers that
+/// build the plan once and reuse it (the detector shares one pruned plan
+/// between its gradient and relevance walks). A pruned plan returns only the
+/// wanted tensors' gradients.
 GradientMap ComputeGradients(const Tensor& root, const Tensor& seed,
                              const TapePlan& plan);
 

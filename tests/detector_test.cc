@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "core/causalformer.h"
 #include "core/detector.h"
@@ -187,8 +185,8 @@ TEST(DetectorTest, MaxWindowsLimitsInterpretationBatch) {
   EXPECT_EQ(res.graph.num_series(), 2);
 }
 
-// A 6-series model on random windows: enough targets to fan out over a
-// 4-worker pool in uneven chunks.
+// A 6-series model on random windows: enough rows for the conv and attention
+// kernels to split over a 4-worker pool in uneven chunks.
 core::CausalityTransformer SixSeriesModel(Rng* rng, bool multi_kernel) {
   core::ModelOptions mopt;
   mopt.num_series = 6;
@@ -215,11 +213,10 @@ bool SameScoresAndDelays(const DetectionResult& a, const DetectionResult& b) {
   return true;
 }
 
-// The per-target walks fan out over the pool from a plain thread; inside a
-// pool task the same call runs them serially (nested ParallelFor is inline).
-// Both must produce the same bits: every target is computed the same way on
-// whichever thread runs it.
-TEST(DetectorTest, ParallelTargetsEqualSerialBitForBit) {
+// The conv and attention kernels split over the pool from a plain thread;
+// inside a pool task the same call runs them inline (nested ParallelFor is
+// inline). Both must produce the same bits.
+TEST(DetectorTest, PoolEqualsInlineBitForBit) {
   for (const bool multi_kernel : {true, false}) {
     Rng rng(multi_kernel ? 31 : 32);
     const core::CausalityTransformer model = SixSeriesModel(&rng, multi_kernel);
@@ -228,10 +225,10 @@ TEST(DetectorTest, ParallelTargetsEqualSerialBitForBit) {
     for (const bool bias : {true, false}) {
       DetectorOptions opt;
       opt.bias_absorption = bias;
-      const std::vector<DetectionResult> parallel =
+      const std::vector<DetectionResult> pooled =
           core::DetectCausalGraphBatched(model, batches, opt);
 
-      std::vector<DetectionResult> serial;
+      std::vector<DetectionResult> inline_run;
       std::mutex mu;
       std::condition_variable cv;
       bool done = false;
@@ -239,16 +236,16 @@ TEST(DetectorTest, ParallelTargetsEqualSerialBitForBit) {
         std::vector<DetectionResult> r =
             core::DetectCausalGraphBatched(model, batches, opt);
         std::lock_guard<std::mutex> lock(mu);
-        serial = std::move(r);
+        inline_run = std::move(r);
         done = true;
         cv.notify_all();
       });
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return done; });
 
-      ASSERT_EQ(parallel.size(), serial.size());
-      for (size_t r = 0; r < parallel.size(); ++r) {
-        EXPECT_TRUE(SameScoresAndDelays(parallel[r], serial[r]))
+      ASSERT_EQ(pooled.size(), inline_run.size());
+      for (size_t r = 0; r < pooled.size(); ++r) {
+        EXPECT_TRUE(SameScoresAndDelays(pooled[r], inline_run[r]))
             << "request " << r << " multi_kernel=" << multi_kernel
             << " bias_absorption=" << bias;
       }
@@ -256,28 +253,15 @@ TEST(DetectorTest, ParallelTargetsEqualSerialBitForBit) {
   }
 }
 
-// With a collector installed, the walk phases timed on pool workers land in
-// the caller's collector (with kernel timers), and the detector phases stay
-// a decomposition of the call: they never add up to more than its wall time.
-TEST(DetectorTest, WorkerPhasesReachTheCallersCollector) {
-  if (ThreadPool::Global().num_threads() < 4) {
-    GTEST_SKIP() << "needs a pool of >= 4 workers (CF_NUM_THREADS=4)";
-  }
+// With a collector installed, the detector's phases and kernel timers land
+// in the caller's collector, and the detector phases stay a decomposition of
+// the call: they never add up to more than its wall time.
+TEST(DetectorTest, PhasesReachTheCallersCollector) {
   Rng rng(33);
   const core::CausalityTransformer model = SixSeriesModel(&rng, true);
   const Tensor windows = Tensor::Randn(Shape{8, 6, 8}, &rng);
 
-  // The collector's clock counts its reads per thread: a timer on a worker
-  // reads the (copied) clock of its chunk-local collector at start and stop.
-  std::mutex mu;
-  std::map<std::thread::id, int> clock_reads;
-  obs::PhaseCollector collector(obs::Clock([&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++clock_reads[std::this_thread::get_id()];
-    }
-    return obs::SteadySeconds();
-  }));
+  obs::PhaseCollector collector;
   collector.set_collect_kernels(true);
   Stopwatch wall;
   {
@@ -296,15 +280,6 @@ TEST(DetectorTest, WorkerPhasesReachTheCallersCollector) {
   EXPECT_GT(phases["relevance"], 0.0);
   EXPECT_GT(phases["kernel.matmul"], 0.0);
   EXPECT_LE(detector_total, wall_seconds);
-  // Some worker timed at least a backward and a relevance walk.
-  std::lock_guard<std::mutex> lock(mu);
-  int most_worker_reads = 0;
-  for (const auto& [thread, reads] : clock_reads) {
-    if (thread != std::this_thread::get_id()) {
-      most_worker_reads = std::max(most_worker_reads, reads);
-    }
-  }
-  EXPECT_GE(most_worker_reads, 4) << "no walk was timed on a worker";
 }
 
 }  // namespace

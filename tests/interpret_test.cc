@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/causality_transformer.h"
 #include "interpret/gradient_modulation.h"
@@ -207,12 +209,9 @@ struct PrunedWalkCase {
 
 class PrunedWalkTest : public ::testing::TestWithParam<PrunedWalkCase> {};
 
-// The detector's walks, pruned to {attention..., kernel_groups}, must give
-// every wanted tensor exactly — memcmp-equal — the gradient and relevance of
-// the full walk, and so the same score under every ablation combination.
-TEST_P(PrunedWalkTest, WantedTensorsMatchFullWalkBitForBit) {
-  const PrunedWalkCase c = GetParam();
-  Rng rng(21);
+// The 4-series model the walk tests differentiate, over 6 windows that form
+// `requests` row groups of the grouped forward.
+core::ModelOptions WalkModelOptions(const PrunedWalkCase& c) {
   core::ModelOptions mopt;
   mopt.num_series = 4;
   mopt.window = 8;
@@ -221,12 +220,34 @@ TEST_P(PrunedWalkTest, WantedTensorsMatchFullWalkBitForBit) {
   mopt.heads = 2;
   mopt.d_ffn = 8;
   mopt.multi_kernel = c.multi_kernel;
-  const core::CausalityTransformer model(mopt, &rng);
+  return mopt;
+}
+
+std::vector<int> WalkRowGroups(const PrunedWalkCase& c) {
+  return c.requests == 2 ? std::vector<int>{0, 0, 0, 1, 1, 1}
+                         : std::vector<int>(6, 0);
+}
+
+// The detector's seed for one target: ones on that series' rows, zeros
+// elsewhere (Fig. 6a).
+Tensor OneHotSeed(const Shape& shape, int64_t target) {
+  Tensor seed = Tensor::Zeros(shape);
+  for (int64_t b = 0; b < shape[0]; ++b) {
+    for (int64_t t = 0; t < shape[2]; ++t) seed.at({b, target, t}) = 1.0f;
+  }
+  return seed;
+}
+
+// The detector's walks, pruned to {attention..., kernel_groups}, must give
+// every wanted tensor exactly — memcmp-equal — the gradient and relevance of
+// the full walk, and so the same score under every ablation combination.
+TEST_P(PrunedWalkTest, WantedTensorsMatchFullWalkBitForBit) {
+  const PrunedWalkCase c = GetParam();
+  Rng rng(21);
+  const core::CausalityTransformer model(WalkModelOptions(c), &rng);
   const Tensor x = Tensor::Randn(Shape{6, 4, 8}, &rng);
-  std::vector<int> row_groups(6, 0);
-  if (c.requests == 2) row_groups = {0, 0, 0, 1, 1, 1};
   const core::ForwardResult fwd =
-      model.ForwardGrouped(x, row_groups, c.requests);
+      model.ForwardGrouped(x, WalkRowGroups(c), c.requests);
 
   std::vector<Tensor> wanted = fwd.attention;
   wanted.push_back(fwd.kernel_groups);
@@ -238,10 +259,7 @@ TEST_P(PrunedWalkTest, WantedTensorsMatchFullWalkBitForBit) {
   ropts.bias_absorption = c.bias_absorption;
 
   for (int target = 0; target < 4; ++target) {
-    Tensor seed = Tensor::Zeros(fwd.prediction.shape());
-    for (int64_t b = 0; b < 6; ++b) {
-      for (int64_t t = 0; t < 8; ++t) seed.at({b, target, t}) = 1.0f;
-    }
+    const Tensor seed = OneHotSeed(fwd.prediction.shape(), target);
     const GradientMap g_full = ComputeGradients(fwd.prediction, seed, full);
     const GradientMap g_pruned =
         ComputeGradients(fwd.prediction, seed, pruned);
@@ -266,6 +284,82 @@ TEST_P(PrunedWalkTest, WantedTensorsMatchFullWalkBitForBit) {
                            interpret::AbsGradientScore(gp)));
       EXPECT_TRUE(BitEqual(interpret::RectifiedRelevanceScore(r),
                            interpret::RectifiedRelevanceScore(rp)));
+    }
+  }
+}
+
+// The detector runs one all-ones-seeded walk of each kind instead of one
+// one-hot-seeded walk per target: every layer above the attention acts on each
+// (window, series) row separately and the walks are linear in the seed, so
+// target i's results must sit, memcmp-equal, in row i of every attention
+// gradient and relevance and in column i of kernel_groups. A layer that mixed
+// series rows above the attention would break this.
+TEST_P(PrunedWalkTest, AllOnesWalkEqualsOneHotWalksRowByRow) {
+  const PrunedWalkCase c = GetParam();
+  Rng rng(23);
+  const core::CausalityTransformer model(WalkModelOptions(c), &rng);
+  const Tensor x = Tensor::Randn(Shape{6, 4, 8}, &rng);
+  const core::ForwardResult fwd =
+      model.ForwardGrouped(x, WalkRowGroups(c), c.requests);
+  std::vector<Tensor> wanted = fwd.attention;
+  wanted.push_back(fwd.kernel_groups);
+  const TapePlan plan(fwd.prediction, wanted);
+  RelevanceOptions ropts;
+  ropts.bias_absorption = c.bias_absorption;
+
+  const Tensor ones = Tensor::Ones(fwd.prediction.shape());
+  const GradientMap g_all = ComputeGradients(fwd.prediction, ones, plan);
+  const RelevanceMap r_all =
+      PropagateRelevance(fwd.prediction, ones, ropts, plan);
+
+  const int64_t n = 4;
+  const int64_t steps = 8;
+  // Row `target` of a [B, N, N] attention tensor, batch row b.
+  auto attention_row = [&](const Tensor& t, int64_t b, int64_t target) {
+    return t.data() + (b * n + target) * n;
+  };
+  // Column `target` of a [G, N, N, T] kernel tensor: the taps of (g, from).
+  auto kernel_taps = [&](const Tensor& t, int64_t g, int64_t from,
+                         int64_t target) {
+    return t.data() + ((g * n + from) * n + target) * steps;
+  };
+  for (int64_t target = 0; target < n; ++target) {
+    const Tensor seed = OneHotSeed(fwd.prediction.shape(), target);
+    const GradientMap g_one = ComputeGradients(fwd.prediction, seed, plan);
+    const RelevanceMap r_one =
+        PropagateRelevance(fwd.prediction, seed, ropts, plan);
+    const std::vector<std::pair<Tensor, Tensor>> walks = {
+        {GradientOf(g_one, fwd.kernel_groups),
+         GradientOf(g_all, fwd.kernel_groups)},
+        {RelevanceOf(r_one, fwd.kernel_groups),
+         RelevanceOf(r_all, fwd.kernel_groups)}};
+    for (const auto& [one, all] : walks) {
+      ASSERT_TRUE(one.defined() && all.defined());
+      for (int64_t g = 0; g < c.requests; ++g) {
+        for (int64_t from = 0; from < n; ++from) {
+          EXPECT_EQ(std::memcmp(kernel_taps(one, g, from, target),
+                                kernel_taps(all, g, from, target),
+                                steps * sizeof(float)),
+                    0)
+              << "kernel column " << target << " group " << g << " from "
+              << from;
+        }
+      }
+    }
+    for (const Tensor& a : fwd.attention) {
+      const std::vector<std::pair<Tensor, Tensor>> heads = {
+          {GradientOf(g_one, a), GradientOf(g_all, a)},
+          {RelevanceOf(r_one, a), RelevanceOf(r_all, a)}};
+      for (const auto& [one, all] : heads) {
+        ASSERT_TRUE(one.defined() && all.defined());
+        for (int64_t b = 0; b < 6; ++b) {
+          EXPECT_EQ(std::memcmp(attention_row(one, b, target),
+                                attention_row(all, b, target),
+                                n * sizeof(float)),
+                    0)
+              << "attention row " << target << " window " << b;
+        }
+      }
     }
   }
 }
