@@ -1,5 +1,7 @@
 #include "core/causal_conv.h"
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "tensor/simd.h"
@@ -21,6 +23,36 @@ std::vector<float> DenomRow(int64_t steps) {
     denom[static_cast<size_t>(t)] = static_cast<float>(t + 1);
   }
   return denom;
+}
+
+// One (b, i, j) row of the conv VJP. `cs` is the cotangent row already divided
+// by the denominators; for every tau <= t it adds
+//   gk[T-1-t+tau] += cs[t] * x[tau]   and   gx[tau] += cs[t] * k[T-1-t+tau].
+// `xpad` is x behind T zeros and `kpad` is k ahead of T zeros, so each t can
+// widen its length-(t+1) axpys to a multiple of 8 lanes (capped at T) and
+// run them without a scalar tail. The extra lanes add c * 0 = ±0, which
+// changes nothing: gk and gx start at +0, a round-to-nearest sum that starts
+// at +0 never reaches -0, and v + ±0 == v otherwise. A non-finite c would make
+// those lanes inf * 0 = NaN, so it keeps the ranged axpys. `gxrow` is null
+// when the data cotangent is not wanted.
+void ConvRowVjp(const float* cs, const float* xrow, const float* xpad,
+                const float* krow, const float* kpad, float* gkrow,
+                float* gxrow, int64_t steps) {
+  // A multiple of every backend's vector width (AVX2 8, NEON 4).
+  constexpr int64_t kLanes = 8;
+  const simd::KernelTable& K = simd::Active();
+  for (int64_t t = 0; t < steps; ++t) {
+    const float c = cs[t];
+    if (c == 0.0f) continue;
+    if (!std::isfinite(c)) {
+      if (gxrow != nullptr) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
+      K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
+      continue;
+    }
+    const int64_t width = std::min(steps, (t + kLanes) / kLanes * kLanes);
+    if (gxrow != nullptr) K.axpy(c, kpad + steps - 1 - t, gxrow, width);
+    K.axpy(c, xpad + t + 1 + steps - width, gkrow + steps - width, width);
+  }
 }
 
 }  // namespace
@@ -85,24 +117,22 @@ Tensor MultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         // batches so parallelising would race on pgk.
         const std::vector<float> denom = DenomRow(steps);
         std::vector<float> cs(static_cast<size_t>(steps));
+        std::vector<float> xpad(static_cast<size_t>(2 * steps), 0.0f);
+        std::vector<float> kpad(xpad.size(), 0.0f);
         for (int64_t b = 0; b < batch; ++b) {
           for (int64_t i = 0; i < n; ++i) {
             const float* xrow = px + (b * n + i) * steps;
             float* gxrow = want_x ? pgx + (b * n + i) * steps : nullptr;
+            std::copy(xrow, xrow + steps, xpad.begin() + steps);
             for (int64_t j = 0; j < n; ++j) {
               const int64_t kj = shared_kernel ? 0 : j;
               const float* krow = pk + (i * kdim1 + kj) * steps;
               float* gkrow = pgk + (i * kdim1 + kj) * steps;
               const float* crow = pc + ((b * n + i) * n + j) * steps;
-              const simd::KernelTable& K = simd::Active();
-              K.div(crow, denom.data(), cs.data(), steps);
-              for (int64_t t = 0; t < steps; ++t) {
-                const float c = cs[static_cast<size_t>(t)];
-                if (c == 0.0f) continue;
-                // Two contiguous axpys: taps steps-1-t.. pair with x[0..t].
-                if (want_x) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
-                K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
-              }
+              if (want_x) std::copy(krow, krow + steps, kpad.begin());
+              simd::Active().div(crow, denom.data(), cs.data(), steps);
+              ConvRowVjp(cs.data(), xrow, xpad.data(), krow, kpad.data(),
+                         gkrow, gxrow, steps);
             }
           }
         }
@@ -182,24 +212,23 @@ Tensor GroupedMultiKernelCausalConv(const Tensor& x, const Tensor& kernel,
         const std::vector<float> denom = DenomRow(steps);
         ParallelFor(groups * n, /*grain=*/1, [&](int64_t begin, int64_t end) {
           std::vector<float> cs(static_cast<size_t>(steps));
+          std::vector<float> xpad(static_cast<size_t>(2 * steps), 0.0f);
+          std::vector<float> kpad(xpad.size(), 0.0f);
           for (int64_t gi = begin; gi < end; ++gi) {
             const int64_t g = gi / n;
             const int64_t i = gi % n;
             for (const int64_t b : group_rows[static_cast<size_t>(g)]) {
               const float* xrow = px + (b * n + i) * steps;
               float* gxrow = want_x ? pgx + (b * n + i) * steps : nullptr;
+              std::copy(xrow, xrow + steps, xpad.begin() + steps);
               for (int64_t j = 0; j < n; ++j) {
                 const float* krow = pk + ((g * n + i) * n + j) * steps;
                 float* gkrow = pgk + ((g * n + i) * n + j) * steps;
                 const float* crow = pc + ((b * n + i) * n + j) * steps;
-                const simd::KernelTable& K = simd::Active();
-                K.div(crow, denom.data(), cs.data(), steps);
-                for (int64_t t = 0; t < steps; ++t) {
-                  const float c = cs[static_cast<size_t>(t)];
-                  if (c == 0.0f) continue;
-                  if (want_x) K.axpy(c, krow + steps - 1 - t, gxrow, t + 1);
-                  K.axpy(c, xrow, gkrow + steps - 1 - t, t + 1);
-                }
+                if (want_x) std::copy(krow, krow + steps, kpad.begin());
+                simd::Active().div(crow, denom.data(), cs.data(), steps);
+                ConvRowVjp(cs.data(), xrow, xpad.data(), krow, kpad.data(),
+                           gkrow, gxrow, steps);
               }
             }
           }

@@ -1,5 +1,5 @@
+#include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -9,16 +9,31 @@ namespace causalformer {
 
 namespace {
 
-// Which arithmetic op a BroadcastBinary call performs, so the contiguous fast
-// paths can dispatch to the vectorized kernel table instead of calling the
-// std::function per element. kGeneric keeps the scalar closure.
+// Which arithmetic op a BroadcastBinary call performs, so the contiguous
+// paths can dispatch to the vectorized kernel table. kGeneric runs the
+// scalar callable per element.
 enum class BinKind { kGeneric, kAdd, kSub, kMul, kDiv };
 
-// Applies fn(a_i, b_i) with NumPy broadcasting. Fast paths: identical shapes
-// and scalar operands (vectorized for the arithmetic kinds); general path
-// walks output indices with stride-0 for broadcast dimensions.
-Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
-                       const std::function<float(float, float)>& fn) {
+// True when `part`, leading 1s dropped, equals the trailing dims of `whole`:
+// `whole` is then a run of rows of part.numel() elements, each lined up with
+// `part` element for element.
+bool IsTrailingPart(const Shape& part, const Shape& whole) {
+  const std::vector<int64_t>& p = part.dims();
+  const std::vector<int64_t>& w = whole.dims();
+  const auto first = std::find_if(p.begin(), p.end(),
+                                  [](int64_t d) { return d != 1; });
+  const auto len = p.end() - first;
+  return len <= static_cast<std::ptrdiff_t>(w.size()) &&
+         std::equal(first, p.end(), w.end() - len);
+}
+
+// Applies fn(a_i, b_i) with NumPy broadcasting. Fast paths: identical shapes,
+// scalar operands, and one operand being the trailing dims of the other (one
+// kernel call per row); the arithmetic kinds run through the kernel table,
+// which performs the same per-element IEEE operation. Other shapes walk
+// output indices with stride-0 for broadcast dimensions.
+template <typename Fn>
+Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind, Fn fn) {
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   Tensor out = Tensor::Empty(out_shape);  // every element written below
   float* o = out.data();
@@ -26,25 +41,26 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   const float* pb = b.data();
   const int64_t n = out_shape.numel();
   const simd::KernelTable& K = simd::Active();
-
-  if (a.shape() == b.shape()) {
+  // dst[i] = fn(x[i], y[i]) over `len` aligned elements.
+  const auto apply = [&](const float* x, const float* y, float* dst,
+                         int64_t len) {
     switch (kind) {
       case BinKind::kAdd:
-        K.add(pa, pb, o, n);
-        return out;
+        return K.add(x, y, dst, len);
       case BinKind::kSub:
-        K.sub(pa, pb, o, n);
-        return out;
+        return K.sub(x, y, dst, len);
       case BinKind::kMul:
-        K.mul(pa, pb, o, n);
-        return out;
+        return K.mul(x, y, dst, len);
       case BinKind::kDiv:
-        K.div(pa, pb, o, n);
-        return out;
+        return K.div(x, y, dst, len);
       case BinKind::kGeneric:
         break;
     }
-    for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], pb[i]);
+    for (int64_t i = 0; i < len; ++i) dst[i] = fn(x[i], y[i]);
+  };
+
+  if (a.shape() == b.shape()) {
+    apply(pa, pb, o, n);
     return out;
   }
   if (a.numel() == 1) {
@@ -62,14 +78,21 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
     const float vb = pb[0];
     if (kind == BinKind::kAdd) {
       K.add_scalar(vb, pa, o, n);
-    } else if (kind == BinKind::kSub) {
-      // x - c == x + (-c) exactly in IEEE-754.
-      K.add_scalar(-vb, pa, o, n);
     } else if (kind == BinKind::kMul) {
       K.scale(vb, pa, o, n);
     } else {
       for (int64_t i = 0; i < n; ++i) o[i] = fn(pa[i], vb);
     }
+    return out;
+  }
+  if (a.shape() == out_shape && IsTrailingPart(b.shape(), out_shape)) {
+    const int64_t m = b.numel();
+    for (int64_t r = 0; r < n; r += m) apply(pa + r, pb, o + r, m);
+    return out;
+  }
+  if (b.shape() == out_shape && IsTrailingPart(a.shape(), out_shape)) {
+    const int64_t m = a.numel();
+    for (int64_t r = 0; r < n; r += m) apply(pa, pb + r, o + r, m);
     return out;
   }
 
@@ -105,10 +128,10 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinKind kind,
   return out;
 }
 
-// Elementwise unary with VJP dX = dfn(x, y) * cot.
-Tensor UnaryOp(const std::string& name, const Tensor& x,
-               const std::function<float(float)>& fn,
-               const std::function<float(float, float)>& dfn_xy) {
+// Elementwise unary with VJP dX = dfn(x, y) * cot. A template, so both
+// callables inline into their loops.
+template <typename Fn, typename DFn>
+Tensor UnaryOp(const std::string& name, const Tensor& x, Fn fn, DFn dfn_xy) {
   Tensor out = Tensor::Empty(x.shape());
   const float* px = x.data();
   float* po = out.data();
@@ -152,6 +175,14 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
   Tensor out = Tensor::Zeros(target);
   float* po = out.data();
   const float* pt = t.data();
+  if (IsTrailingPart(target, t.shape())) {
+    // Rows of t line up with the target: add them in ascending order from
+    // +0, the per-element order of the index walk below.
+    const int64_t m = target.numel();
+    const simd::KernelTable& K = simd::Active();
+    for (int64_t r = 0; r < t.numel(); r += m) K.accumulate(po, pt + r, m);
+    return out;
+  }
   const int nd = t.ndim();
   // Output strides aligned to t's trailing dims; 0 where target broadcasts.
   std::vector<int64_t> so(nd, 0), idx(nd, 0);

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/causal_attention.h"
 #include "core/causal_conv.h"
+#include "tensor/autograd.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "util/rng.h"
 
 namespace causalformer {
 namespace {
 
 using core::AttentionCombine;
+using core::GroupedMultiKernelCausalConv;
 using core::MultiKernelCausalConv;
 using core::ShiftRightDiagonal;
 
@@ -228,6 +234,115 @@ TEST_P(ConvPriorityTest, NoFutureLeak) {
 INSTANTIATE_TEST_SUITE_P(Grid, ConvPriorityTest,
                          testing::Combine(testing::Values(2, 3, 5),
                                           testing::Values(4, 8, 12)));
+
+
+// ---- Conv VJP exactness ------------------------------------------------------
+
+// The conv VJP as one ranged axpy pair per (b, i, j, t), in that order: the
+// loop the padded rows replaced, kept as the reference. `kernel_row(b, i, j)`
+// is the kernel row that pairs with source i, target j of batch row b.
+template <typename RowOf>
+std::vector<Tensor> RangedConvVjp(const Tensor& x, const Tensor& kernel,
+                                  const Tensor& cot, bool want_x,
+                                  RowOf kernel_row) {
+  const simd::KernelTable& K = simd::Active();
+  const int64_t batch = x.dim(0);
+  const int64_t n = x.dim(1);
+  const int64_t steps = x.dim(2);
+  Tensor gx = Tensor::Zeros(x.shape());
+  Tensor gk = Tensor::Zeros(kernel.shape());
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float* xrow = x.data() + (b * n + i) * steps;
+      float* gxrow = gx.data() + (b * n + i) * steps;
+      for (int64_t j = 0; j < n; ++j) {
+        const int64_t row = kernel_row(b, i, j) * steps;
+        const float* crow = cot.data() + ((b * n + i) * n + j) * steps;
+        for (int64_t t = 0; t < steps; ++t) {
+          const float c = crow[t] / static_cast<float>(t + 1);
+          if (c == 0.0f) continue;
+          if (want_x) {
+            K.axpy(c, kernel.data() + row + steps - 1 - t, gxrow, t + 1);
+          }
+          K.axpy(c, xrow, gk.data() + row + steps - 1 - t, t + 1);
+        }
+      }
+    }
+  }
+  return {want_x ? gx : Tensor(), gk};
+}
+
+// A cotangent of normal values, about a third of them exact zeros, with one
+// entry of one row set to +inf (the non-finite branch).
+Tensor ConvCotangent(const Shape& shape, Rng* rng) {
+  Tensor cot = Tensor::Randn(shape, rng);
+  for (int64_t i = 0; i < cot.numel(); ++i) {
+    if (rng->Bernoulli(0.3)) cot.data()[i] = 0.0f;
+  }
+  cot.data()[cot.numel() / 2 + 3] = std::numeric_limits<float>::infinity();
+  return cot;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Runs the op's VJP on `cot` and compares both cotangents with the reference.
+template <typename RowOf>
+void ExpectVjpMatchesRanged(const Tensor& y, const Tensor& x,
+                            const Tensor& kernel, const Tensor& cot,
+                            bool want_x, RowOf kernel_row) {
+  const std::vector<Tensor> got =
+      y.grad_fn()->vjp(y, cot, NeededMask{want_x, true});
+  const std::vector<Tensor> want =
+      RangedConvVjp(x, kernel, cot, want_x, kernel_row);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].defined(), want_x);
+  if (want_x) {
+    EXPECT_TRUE(SameBits(got[0], want[0]));
+  }
+  EXPECT_TRUE(SameBits(got[1], want[1]));
+}
+
+TEST(CausalConvTest, PaddedVjpEqualsRangedAxpysBitForBit) {
+  const int64_t batch = 3, n = 4;
+  Rng rng(21);
+  // Window lengths below, at and off the 8-lane rounding.
+  for (const int64_t steps : {5, 8, 16, 19}) {
+    const Tensor x = Tensor::Randn(Shape{batch, n, steps}, &rng, true);
+    const Tensor cot = ConvCotangent(Shape{batch, n, n, steps}, &rng);
+    for (const bool shared : {false, true}) {
+      const Tensor k =
+          Tensor::Randn(Shape{n, shared ? 1 : n, steps}, &rng, true);
+      const Tensor y = MultiKernelCausalConv(x, k, shared);
+      for (const bool want_x : {false, true}) {
+        SCOPED_TRACE("T=" + std::to_string(steps) +
+                     (shared ? " shared" : " multi") +
+                     (want_x ? " want_x" : ""));
+        ExpectVjpMatchesRanged(y, x, k, cot, want_x,
+                               [&](int64_t, int64_t i, int64_t j) {
+                                 return shared ? i : i * n + j;
+                               });
+      }
+    }
+    for (const int64_t groups : {1, 2}) {
+      const Tensor k = Tensor::Randn(Shape{groups, n, n, steps}, &rng, true);
+      const std::vector<int> row_groups =
+          groups == 1 ? std::vector<int>{0, 0, 0} : std::vector<int>{0, 1, 0};
+      const Tensor y = GroupedMultiKernelCausalConv(x, k, row_groups);
+      for (const bool want_x : {false, true}) {
+        SCOPED_TRACE("T=" + std::to_string(steps) + " groups=" +
+                     std::to_string(groups) + (want_x ? " want_x" : ""));
+        ExpectVjpMatchesRanged(
+            y, x, k, cot, want_x, [&](int64_t b, int64_t i, int64_t j) {
+              return (row_groups[static_cast<size_t>(b)] * n + i) * n + j;
+            });
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace causalformer

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -298,6 +301,207 @@ TEST(OpsTest, ReduceToShapeSumsBroadcastAxes) {
   EXPECT_FLOAT_EQ(r.at({0, 0}), 8.0f);  // 2 * 4
   Tensor r2 = ReduceToShape(t, Shape{});
   EXPECT_FLOAT_EQ(r2.item(), 24.0f);
+}
+
+// ---- Broadcast and reduce against a naive index walk -------------------------
+
+// Offset into a contiguous tensor of shape `s` for the multi-index `idx` of a
+// broadcast result (aligned to the trailing dims; size-1 dims broadcast).
+int64_t BroadcastOffset(const Shape& s, const std::vector<int64_t>& idx) {
+  int64_t off = 0;
+  int64_t stride = 1;
+  for (int d = s.ndim() - 1; d >= 0; --d) {
+    const size_t k = idx.size() - static_cast<size_t>(s.ndim() - d);
+    if (s[d] != 1) off += idx[k] * stride;
+    stride *= s[d];
+  }
+  return off;
+}
+
+// The multi-index of flat position `flat` in `shape`.
+std::vector<int64_t> Unravel(const Shape& shape, int64_t flat) {
+  std::vector<int64_t> idx(static_cast<size_t>(shape.ndim()));
+  for (int d = shape.ndim() - 1; d >= 0; --d) {
+    idx[static_cast<size_t>(d)] = flat % shape[d];
+    flat /= shape[d];
+  }
+  return idx;
+}
+
+// Random values with about a quarter of them ±0, ±inf or NaN (one NaN bit
+// pattern, so every level propagates the same payload).
+Tensor SpecialData(const Shape& shape, Rng* rng) {
+  const float kSpecial[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> v(static_cast<size_t>(shape.numel()));
+  for (float& x : v) {
+    x = rng->Bernoulli(0.25) ? kSpecial[rng->UniformInt(5)]
+                             : static_cast<float>(rng->Normal());
+  }
+  return Tensor::FromVector(shape, std::move(v));
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// SameBits, except that any two NaNs match. A sum can meet two different
+// NaNs (an input NaN and inf + -inf); IEEE-754 leaves which payload survives
+// to the operand order, which the compiler may swap for a float add.
+bool SameBitsAnyNaN(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::memcmp(&x, &y, sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+// a op b for every element of the broadcast shape, one index at a time.
+template <typename Fn>
+Tensor NaiveBroadcast(const Tensor& a, const Tensor& b, Fn fn) {
+  const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
+  Tensor out = Tensor::Zeros(out_shape);
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    const std::vector<int64_t> idx = Unravel(out_shape, i);
+    out.data()[i] = fn(a.data()[BroadcastOffset(a.shape(), idx)],
+                       b.data()[BroadcastOffset(b.shape(), idx)]);
+  }
+  return out;
+}
+
+// Sum of t into `target`, from +0 and in ascending flat order of t; t itself
+// when there is nothing to reduce.
+Tensor NaiveReduce(const Tensor& t, const Shape& target) {
+  if (t.shape() == target) return t;
+  Tensor out = Tensor::Zeros(target);
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    out.data()[BroadcastOffset(target, Unravel(t.shape(), i))] += t.data()[i];
+  }
+  return out;
+}
+
+// A random shape of 1..4 dims of sizes 1..5.
+Shape RandomShape(Rng* rng) {
+  std::vector<int64_t> dims(static_cast<size_t>(1 + rng->UniformInt(4)));
+  for (int64_t& d : dims) d = 1 + rng->UniformInt(5);
+  return Shape(dims);
+}
+
+// The last `keep` dims of `whole` behind `lead` leading 1s.
+Shape TrailingPart(const Shape& whole, int keep, int lead) {
+  std::vector<int64_t> dims(static_cast<size_t>(lead), 1);
+  for (int d = whole.ndim() - keep; d < whole.ndim(); ++d) {
+    dims.push_back(whole[d]);
+  }
+  return Shape(dims);
+}
+
+// Every kernel table this build and CPU can run.
+std::vector<simd::IsaLevel> AvailableLevels() {
+  std::vector<simd::IsaLevel> levels;
+  for (const simd::IsaLevel level :
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
+        simd::IsaLevel::kNeon}) {
+    if (simd::TableForLevel(level) != nullptr) levels.push_back(level);
+  }
+  return levels;
+}
+
+class BroadcastPropertyTest : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::SetLevelForTesting(saved_level_); }
+  const simd::IsaLevel saved_level_ = simd::ActiveLevel();
+};
+
+TEST_F(BroadcastPropertyTest, TrailingOperandMatchesIndexWalkBitForBit) {
+  Rng rng(11);
+  for (const simd::IsaLevel level : AvailableLevels()) {
+    simd::SetLevelForTesting(level);
+    for (int trial = 0; trial < 200; ++trial) {
+      const Shape whole = RandomShape(&rng);
+      const Shape part = TrailingPart(
+          whole, static_cast<int>(rng.UniformInt(whole.ndim() + 1)),
+          static_cast<int>(rng.UniformInt(3)));
+      const Tensor full = SpecialData(whole, &rng);
+      const Tensor row = SpecialData(part, &rng);
+      SCOPED_TRACE(std::string(simd::LevelName(level)) + " " +
+                   whole.ToString() + " with " + part.ToString());
+      for (const bool row_first : {false, true}) {
+        const Tensor& a = row_first ? row : full;
+        const Tensor& b = row_first ? full : row;
+        EXPECT_TRUE(SameBits(
+            Add(a, b), NaiveBroadcast(a, b, [](float x, float y) {
+              return x + y;
+            })));
+        EXPECT_TRUE(SameBits(
+            Sub(a, b), NaiveBroadcast(a, b, [](float x, float y) {
+              return x - y;
+            })));
+        EXPECT_TRUE(SameBits(
+            Mul(a, b), NaiveBroadcast(a, b, [](float x, float y) {
+              return x * y;
+            })));
+        EXPECT_TRUE(SameBits(
+            Div(a, b), NaiveBroadcast(a, b, [](float x, float y) {
+              return x / y;
+            })));
+      }
+    }
+  }
+}
+
+TEST_F(BroadcastPropertyTest, ReduceToShapeMatchesIndexWalkBitForBit) {
+  Rng rng(12);
+  for (const simd::IsaLevel level : AvailableLevels()) {
+    simd::SetLevelForTesting(level);
+    for (int trial = 0; trial < 200; ++trial) {
+      const Shape whole = RandomShape(&rng);
+      const Tensor t = SpecialData(whole, &rng);
+      // A suffix target (no more dims than t), and one with a random subset
+      // of dims set to 1 (a suffix only by chance).
+      const int keep = static_cast<int>(rng.UniformInt(whole.ndim() + 1));
+      const Shape suffix = TrailingPart(
+          whole, keep,
+          static_cast<int>(rng.UniformInt(whole.ndim() - keep + 1)));
+      std::vector<int64_t> dims = whole.dims();
+      for (int64_t& d : dims) {
+        if (rng.Bernoulli(0.5)) d = 1;
+      }
+      const Shape ones_in(dims);
+      for (const Shape& target : {suffix, ones_in}) {
+        SCOPED_TRACE(std::string(simd::LevelName(level)) + " " +
+                     whole.ToString() + " to " + target.ToString());
+        EXPECT_TRUE(
+            SameBitsAnyNaN(ReduceToShape(t, target), NaiveReduce(t, target)));
+      }
+    }
+  }
+}
+
+TEST(OpsTest, ColumnBroadcastKeepsTheIndexWalk) {
+  // [3,1] against [3,4] is not a trailing run, so it takes the general path.
+  Tensor col = Tensor::FromVector(Shape{3, 1}, {1, 2, 3});
+  Tensor m = Tensor::FromVector(Shape{3, 4},
+                                {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  const Tensor sum = Add(col, m);
+  const Tensor diff = Sub(m, col);
+  for (int64_t i = 0; i < 3; ++i) {
+    for (int64_t j = 0; j < 4; ++j) {
+      const float v = static_cast<float>(i * 4 + j + 1);
+      EXPECT_EQ(sum.at({i, j}), v + static_cast<float>(i + 1));
+      EXPECT_EQ(diff.at({i, j}), v - static_cast<float>(i + 1));
+    }
+  }
+  const Tensor r = ReduceToShape(m, Shape{3, 1});
+  EXPECT_EQ(r.at({0, 0}), 10.0f);
+  EXPECT_EQ(r.at({1, 0}), 26.0f);
+  EXPECT_EQ(r.at({2, 0}), 42.0f);
 }
 
 }  // namespace
