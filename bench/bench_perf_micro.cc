@@ -9,6 +9,12 @@
 // once single-threaded and once with the conv and attention kernels split over
 // the pool, with per-phase (forward/backward/relevance/cluster) columns.
 //
+// Last, the serving layer's per-request byte work (wire): encoding and
+// decoding a Detect frame at the hot_hits_4c (B=32, N=4, T=16) and
+// detect_cold_1c (B=8, N=10, T=16) shapes of e2ebench, the CRC-32 of an
+// 8 KiB payload, and the window content hash a cache lookup computes. These
+// rows stay out of the kernel geomean.
+//
 // Self-contained (no google-benchmark): each case runs for a fixed iteration
 // budget, best-of-3 repetitions. Kernel cases and the single-thread detect
 // rows run inside a pool task, where every ParallelFor runs inline; the pool
@@ -32,9 +38,12 @@
 #include "core/detector.h"
 #include "interpret/relevance.h"
 #include "obs/trace.h"
+#include "serve/score_cache.h"
+#include "serve/wire.h"
 #include "tensor/allocator.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -159,6 +168,69 @@ DetectRow TimeDetect(const DetectGeometry& g, int threads, int iters,
     run();
   }
   return row;
+}
+
+struct WireRow {
+  std::string name;
+  size_t bytes = 0;  // bytes the operation reads or writes
+  double us = 0;     // best-of-reps mean microseconds per operation
+};
+
+// The wire rows: frame encode/decode per e2ebench shape, CRC and hash.
+std::vector<WireRow> TimeWire(int pct, int reps) {
+  namespace wire = cf::serve::wire;
+  struct Shape3 {
+    const char* label;
+    int64_t b, n, t;
+  };
+  const Shape3 shapes[] = {{"32x4x16", 32, 4, 16}, {"8x10x16", 8, 10, 16}};
+  std::vector<WireRow> rows;
+  const auto time = [&](const std::string& name, size_t bytes, int iters,
+                        std::function<void()> fn) {
+    fn();
+    const BenchCase c{name, iters, std::move(fn)};
+    const double ms = TimeCase(c, std::max(1, iters * pct / 100), reps);
+    rows.push_back({name, bytes, ms * 1000.0});
+  };
+  cf::Rng rng(7);
+  for (const Shape3& shape : shapes) {
+    wire::DetectMsg msg;
+    msg.model = "hot";
+    msg.windows =
+        cf::Tensor::Randn(cf::Shape{shape.b, shape.n, shape.t}, &rng);
+    const std::vector<uint8_t> frame = wire::EncodeFrame(
+        wire::MessageType::kDetect, wire::EncodeDetect(msg));
+    time(std::string("detect_encode_") + shape.label, frame.size(), 20000,
+         [&] {
+           g_sink = static_cast<float>(
+               wire::EncodeFrame(wire::MessageType::kDetect,
+                                 wire::EncodeDetect(msg))
+                   .size());
+         });
+    time(std::string("detect_decode_") + shape.label, frame.size(), 20000,
+         [&] {
+           wire::Frame decoded;
+           size_t consumed = 0;
+           wire::DetectMsg out;
+           if (wire::DecodeFrame(frame.data(), frame.size(), &decoded,
+                                 &consumed) != wire::DecodeResult::kFrame ||
+               !wire::DecodeDetect(decoded.payload, &out).ok()) {
+             std::abort();
+           }
+           g_sink = out.windows.data()[0];
+         });
+    time(std::string("hash_windows_") + shape.label,
+         sizeof(float) * static_cast<size_t>(msg.windows.numel()), 20000,
+         [&] {
+           g_sink = static_cast<float>(cf::serve::HashWindows(msg.windows).lo);
+         });
+  }
+  std::vector<uint8_t> payload(8192);
+  for (uint8_t& byte : payload) byte = static_cast<uint8_t>(rng.Next());
+  time("crc32_8k", payload.size(), 40000, [&] {
+    g_sink = static_cast<float>(cf::Crc32(payload.data(), payload.size()));
+  });
+  return rows;
 }
 
 }  // namespace
@@ -312,6 +384,12 @@ int main() {
     }
   }
 
+  const std::vector<WireRow> wire_rows = TimeWire(pct, reps);
+  std::printf("\n%-26s %8s %12s\n", "wire", "bytes", "us/op");
+  for (const WireRow& r : wire_rows) {
+    std::printf("%-26s %8zu %12.3f\n", r.name.c_str(), r.bytes, r.us);
+  }
+
   FILE* f = std::fopen("BENCH_perf.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"perf_micro\",\n");
@@ -341,6 +419,14 @@ int main() {
                    static_cast<long long>(r.geometry.b), r.threads,
                    r.detect_ms, r.forward_ms, r.backward_ms, r.relevance_ms,
                    r.cluster_ms, i + 1 < detect_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"wire\": [\n");
+    for (size_t i = 0; i < wire_rows.size(); ++i) {
+      const WireRow& r = wire_rows[i];
+      std::fprintf(f, "    {\"name\": \"%s\", \"bytes\": %zu, \"us\": %.6f}%s\n",
+                   r.name.c_str(), r.bytes, r.us,
+                   i + 1 < wire_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

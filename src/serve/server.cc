@@ -36,9 +36,9 @@ wire::DetectResultMsg ToResultMsg(const DiscoveryResponse& response) {
 
 }  // namespace
 
-/// One accepted socket. The poll thread owns fd/inbuf/closing; outbuf and
-/// the dead/admin_busy flags are shared with the completion thread under
-/// out_mu.
+/// One accepted socket. The poll thread owns fd/inbuf/closing; outbuf,
+/// queued and the dead/admin_busy flags are shared with the completion
+/// thread under out_mu.
 struct WireServer::Connection {
   int fd = -1;
   std::vector<uint8_t> inbuf;
@@ -47,6 +47,11 @@ struct WireServer::Connection {
 
   std::mutex out_mu;
   std::vector<uint8_t> outbuf;
+  /// Responses of this connection in the completion queue, not yet
+  /// appended to outbuf. Only the poll thread increments it (PushPending);
+  /// Deliver decrements it. While it is 0 nothing is queued ahead of a new
+  /// response, so a ready one may be delivered inline.
+  size_t queued = 0;
   bool close_after_flush = false;
   bool dead = false;
   /// A LoadModel is executing on a worker thread. The poll thread holds off
@@ -80,6 +85,8 @@ struct WireServer::Pending {
   /// resume decoding its buffered frames) once this response is delivered.
   bool clears_admin_busy = false;
   bool close_after = false;
+  /// Went through the completion queue (counted in Connection::queued).
+  bool queued = false;
 };
 
 WireServer::WireServer(EngineFrontend* engine,
@@ -173,6 +180,21 @@ void WireServer::WakePoll() {
 }
 
 void WireServer::PushPending(Pending pending) {
+  // A response that is already answered (control frames, cache hits,
+  // rejections) goes out on the poll thread, unless an earlier response of
+  // the same connection is still queued: it must not overtake that one.
+  // Only this thread increments `queued`, so a 0 read here stays 0 until
+  // Deliver below has appended.
+  const bool ready = PendingIsReady(pending);
+  {
+    std::lock_guard<std::mutex> lock(pending.conn->out_mu);
+    pending.queued = !ready || pending.conn->queued > 0;
+    if (pending.queued) ++pending.conn->queued;
+  }
+  if (!pending.queued) {
+    Deliver(pending);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
     completions_.push_back(std::move(pending));
@@ -727,7 +749,11 @@ void WireServer::PollLoop() {
       }
       if (peer_closed) drop = true;
 
-      if (!drop && (revents & POLLOUT)) {
+      // Flush whatever is queued without waiting for poll() to report
+      // POLLOUT: a response delivered inline above, or appended by the
+      // completion thread before it woke this loop. EAGAIN leaves the rest
+      // for POLLOUT.
+      if (!drop) {
         std::lock_guard<std::mutex> lock(conn->out_mu);
         size_t sent = 0;
         while (sent < conn->outbuf.size()) {
@@ -816,6 +842,53 @@ void WireServer::AwaitPendingBriefly(Pending& pending) {
   }
 }
 
+void WireServer::Deliver(Pending& pending) {
+  std::vector<uint8_t> frame;
+  if (pending.is_batch) {
+    std::vector<wire::DetectResultMsg> results;
+    results.reserve(pending.batch_futures.size());
+    Status first_error;
+    for (auto& future : pending.batch_futures) {
+      DiscoveryResponse response = future.get();
+      if (!response.status.ok()) {
+        if (first_error.ok()) first_error = response.status;
+        continue;
+      }
+      results.push_back(ToResultMsg(response));
+    }
+    // All-or-nothing: any failed sub-query fails the whole batch frame.
+    frame = first_error.ok()
+                ? wire::EncodeFrame(wire::MessageType::kDetectBatchResult,
+                                    wire::EncodeDetectBatchResult(results))
+                : wire::EncodeFrame(wire::MessageType::kError,
+                                    wire::EncodeError(first_error));
+  } else if (pending.is_future) {
+    const DiscoveryResponse response = pending.future.get();
+    if (pending.trace != nullptr) pending.trace->StartSpan("encode");
+    frame = EncodeResponse(response);
+    if (pending.trace != nullptr) {
+      pending.trace->Finish();
+      options_.obs->traces().Add(pending.trace);
+    }
+  } else if (pending.is_frame_future) {
+    frame = pending.frame_future.get();
+  } else {
+    frame = std::move(pending.ready);
+  }
+
+  Connection& conn = *pending.conn;
+  std::lock_guard<std::mutex> out_lock(conn.out_mu);
+  if (!conn.dead) {
+    conn.outbuf.insert(conn.outbuf.end(), frame.begin(), frame.end());
+    if (pending.close_after) conn.close_after_flush = true;
+  }
+  // The off-thread load finished (its registry effects are visible): let
+  // the poll thread resume decoding this connection's parked frames (the
+  // completion thread's WakePoll re-runs its decode pass).
+  if (pending.clears_admin_busy) conn.admin_busy = false;
+  if (pending.queued) --conn.queued;
+}
+
 void WireServer::CompletionLoop() {
   std::unique_lock<std::mutex> lock(completion_mu_);
   for (;;) {
@@ -859,51 +932,7 @@ void WireServer::CompletionLoop() {
     completions_.erase(ready_it);
     lock.unlock();
 
-    std::vector<uint8_t> frame;
-    if (pending.is_batch) {
-      std::vector<wire::DetectResultMsg> results;
-      results.reserve(pending.batch_futures.size());
-      Status first_error;
-      for (auto& future : pending.batch_futures) {
-        DiscoveryResponse response = future.get();
-        if (!response.status.ok()) {
-          if (first_error.ok()) first_error = response.status;
-          continue;
-        }
-        results.push_back(ToResultMsg(response));
-      }
-      // All-or-nothing: any failed sub-query fails the whole batch frame.
-      frame = first_error.ok()
-                  ? wire::EncodeFrame(wire::MessageType::kDetectBatchResult,
-                                      wire::EncodeDetectBatchResult(results))
-                  : wire::EncodeFrame(wire::MessageType::kError,
-                                      wire::EncodeError(first_error));
-    } else if (pending.is_future) {
-      const DiscoveryResponse response = pending.future.get();
-      if (pending.trace != nullptr) pending.trace->StartSpan("encode");
-      frame = EncodeResponse(response);
-      if (pending.trace != nullptr) {
-        pending.trace->Finish();
-        options_.obs->traces().Add(pending.trace);
-      }
-    } else if (pending.is_frame_future) {
-      frame = pending.frame_future.get();
-    } else {
-      frame = std::move(pending.ready);
-    }
-
-    {
-      std::lock_guard<std::mutex> out_lock(pending.conn->out_mu);
-      if (!pending.conn->dead) {
-        pending.conn->outbuf.insert(pending.conn->outbuf.end(), frame.begin(),
-                                    frame.end());
-        if (pending.close_after) pending.conn->close_after_flush = true;
-      }
-      // The off-thread load finished (its registry effects are visible):
-      // let the poll thread resume decoding this connection's parked
-      // frames. WakePoll below re-runs its decode pass.
-      if (pending.clears_admin_busy) pending.conn->admin_busy = false;
-    }
+    Deliver(pending);
     WakePoll();
     lock.lock();
   }

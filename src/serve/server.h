@@ -27,18 +27,22 @@
 ///
 ///  * the poll thread owns all socket I/O: accept, non-blocking reads,
 ///    frame decoding, request dispatch, and non-blocking writes of queued
-///    response bytes;
-///  * the completion thread awaits engine futures in submission order,
-///    encodes responses, appends them to the owning connection's output
-///    buffer, and wakes the poll thread through a self-pipe.
+///    response bytes. A response that is answered at dispatch — a control
+///    frame, a cache hit, a rejection — it encodes and appends itself, and
+///    every connection with bytes queued gets a send() right after
+///    dispatch, without waiting for poll() to report POLLOUT;
+///  * the completion thread takes every other response (engine work still
+///    running, an off-thread LoadModel or Profile), awaits it, encodes it,
+///    appends it to the owning connection's output buffer, and wakes the
+///    poll thread through a self-pipe.
 ///
-/// Responses on a connection are sent in request order (the protocol allows
-/// pipelining); ordering across connections is unspecified. Control frames
-/// (Ping/Stats/Load/Unload and the streaming frames) are answered through
-/// the same completion queue so they cannot overtake an earlier Detect on
-/// the same connection. LoadModel's checkpoint deserialisation runs on a
-/// transient worker thread — never the poll thread — so a model load cannot
-/// stall dispatch for other connections.
+/// Both threads append through one Deliver(). Responses on a connection are
+/// sent in request order (the protocol allows pipelining); ordering across
+/// connections is unspecified. The poll thread delivers inline only while
+/// the connection has nothing in the completion queue, so a ready response
+/// never overtakes an earlier one still computing. LoadModel's checkpoint
+/// deserialisation runs on a transient worker thread — never the poll
+/// thread — so a model load cannot stall dispatch for other connections.
 
 namespace causalformer {
 
@@ -146,7 +150,14 @@ class WireServer {
   /// close without a response (unsalvageable framing).
   bool HandleFrame(const std::shared_ptr<Connection>& conn,
                    wire::Frame frame);
+  /// Hands a response to the connection in request order: delivered inline
+  /// when it is ready and nothing of its connection is queued, otherwise
+  /// queued for the completion thread. Poll thread only.
   void PushPending(Pending pending);
+  /// Encodes a ready `pending` (result, batch, error or pre-encoded frame)
+  /// and appends it to its connection's output buffer. Called by the poll
+  /// thread for inline responses and by the completion thread.
+  void Deliver(Pending& pending);
   void PushReady(const std::shared_ptr<Connection>& conn,
                  wire::MessageType type, std::vector<uint8_t> payload,
                  bool close_after = false);

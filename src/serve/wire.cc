@@ -47,9 +47,7 @@ void WriteWindows(PayloadWriter* w, const Tensor& windows) {
   w->U32(static_cast<uint32_t>(windows.dim(0)));
   w->U32(static_cast<uint32_t>(windows.dim(1)));
   w->U32(static_cast<uint32_t>(windows.dim(2)));
-  const float* p = windows.data();
-  const int64_t count = windows.numel();
-  for (int64_t i = 0; i < count; ++i) w->F32(p[i]);
+  w->F32Array(windows.data(), static_cast<size_t>(windows.numel()));
 }
 
 Status ReadWindows(PayloadReader* r, Tensor* windows) {
@@ -68,12 +66,13 @@ Status ReadWindows(PayloadReader* r, Tensor* windows) {
       static_cast<uint64_t>(b) * n * t > budget) {
     return Status::InvalidArgument("window tensor data truncated");
   }
-  const uint64_t count = static_cast<uint64_t>(b) * n * t;
-  Tensor out = Tensor::Zeros(Shape{static_cast<int64_t>(b),
+  // Empty, not Zeros: the checks above guarantee F32Array writes every
+  // element.
+  Tensor out = Tensor::Empty(Shape{static_cast<int64_t>(b),
                                    static_cast<int64_t>(n),
                                    static_cast<int64_t>(t)});
-  float* p = out.data();
-  for (uint64_t i = 0; i < count; ++i) CF_RETURN_IF_ERROR(r->F32(&p[i]));
+  CF_RETURN_IF_ERROR(
+      r->F32Array(out.data(), static_cast<size_t>(out.numel())));
   *windows = std::move(out);
   return Status::Ok();
 }
@@ -397,6 +396,20 @@ void PayloadWriter::F64(double v) {
   U64(bits);
 }
 
+void PayloadWriter::F32Array(const float* v, size_t count) {
+  const size_t start = out_->size();
+  out_->resize(start + count * 4);
+  uint8_t* p = out_->data() + start;
+  for (size_t i = 0; i < count; ++i, p += 4) {
+    uint32_t bits;
+    std::memcpy(&bits, &v[i], sizeof(bits));
+    p[0] = static_cast<uint8_t>(bits);
+    p[1] = static_cast<uint8_t>(bits >> 8);
+    p[2] = static_cast<uint8_t>(bits >> 16);
+    p[3] = static_cast<uint8_t>(bits >> 24);
+  }
+}
+
 void PayloadWriter::Str(const std::string& v) {
   U32(static_cast<uint32_t>(v.size()));
   out_->insert(out_->end(), v.begin(), v.end());
@@ -467,6 +480,25 @@ Status PayloadReader::F64(double* v) {
   uint64_t bits = 0;
   CF_RETURN_IF_ERROR(U64(&bits));
   std::memcpy(v, &bits, sizeof(bits));
+  return Status::Ok();
+}
+
+Status PayloadReader::F32Array(float* out, size_t count) {
+  // Divide instead of multiplying: count * 4 can wrap size_t.
+  if (count > remaining() / 4) {
+    return Status::OutOfRange("payload truncated: need " +
+                              std::to_string(count) + " floats, have " +
+                              std::to_string(remaining()) + " bytes");
+  }
+  const uint8_t* p;
+  CF_RETURN_IF_ERROR(Take(count * 4, &p));
+  for (size_t i = 0; i < count; ++i, p += 4) {
+    const uint32_t bits = static_cast<uint32_t>(p[0]) |
+                          (static_cast<uint32_t>(p[1]) << 8) |
+                          (static_cast<uint32_t>(p[2]) << 16) |
+                          (static_cast<uint32_t>(p[3]) << 24);
+    std::memcpy(&out[i], &bits, sizeof(bits));
+  }
   return Status::Ok();
 }
 
@@ -832,9 +864,7 @@ std::vector<uint8_t> EncodeAppendSamples(const AppendSamplesMsg& msg) {
   w.Str(msg.stream);
   w.U32(static_cast<uint32_t>(msg.samples.dim(0)));
   w.U32(static_cast<uint32_t>(msg.samples.dim(1)));
-  const float* p = msg.samples.data();
-  const int64_t count = msg.samples.numel();
-  for (int64_t i = 0; i < count; ++i) w.F32(p[i]);
+  w.F32Array(msg.samples.data(), static_cast<size_t>(msg.samples.numel()));
   return payload;
 }
 
@@ -854,11 +884,9 @@ Status DecodeAppendSamples(const std::vector<uint8_t>& payload,
   if (n > budget || static_cast<uint64_t>(n) * k > budget) {
     return Status::InvalidArgument("sample tensor data truncated");
   }
-  const uint64_t count = static_cast<uint64_t>(n) * k;
-  Tensor out = Tensor::Zeros(
+  Tensor out = Tensor::Empty(
       Shape{static_cast<int64_t>(n), static_cast<int64_t>(k)});
-  float* p = out.data();
-  for (uint64_t i = 0; i < count; ++i) CF_RETURN_IF_ERROR(r.F32(&p[i]));
+  CF_RETURN_IF_ERROR(r.F32Array(out.data(), static_cast<size_t>(out.numel())));
   msg->samples = std::move(out);
   return r.ExpectEnd();
 }

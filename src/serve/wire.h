@@ -144,6 +144,9 @@ class PayloadWriter {
   void I64(int64_t v);   ///< 8 bytes LE, two's complement
   void F32(float v);     ///< IEEE-754 binary32 bit pattern, LE
   void F64(double v);    ///< IEEE-754 binary64 bit pattern, LE
+  /// `count` floats, each exactly as F32() writes it, after one resize
+  /// (the bulk form for window and sample tensors).
+  void F32Array(const float* v, size_t count);
   /// u32 byte length followed by the raw bytes (no terminator).
   void Str(const std::string& v);
 
@@ -167,6 +170,9 @@ class PayloadReader {
   Status I64(int64_t* v);   ///< reads 8 bytes LE, two's complement
   Status F32(float* v);     ///< reads an IEEE-754 binary32, LE
   Status F64(double* v);    ///< reads an IEEE-754 binary64, LE
+  /// Reads `count` floats into `out` (each as F32() reads it) after one
+  /// bounds check; nothing is written when the payload is too short.
+  Status F32Array(float* out, size_t count);
   Status Str(std::string* v);  ///< reads u32 length + bytes
 
   size_t remaining() const { return size_ - pos_; }  ///< unread byte count

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -313,8 +315,23 @@ Tensor Relu(const Tensor& x) {
 }
 
 Tensor LeakyRelu(const Tensor& x, float slope) {
+  // The forward picks v or slope * v by a bitwise select, so the loop has
+  // no branch and vectorizes. A ?: does not: gcc 12 sinks the multiply
+  // into the branch and then may not speculate it (-ftrapping-math). Both
+  // values are the branchy form's, NaN included.
   return UnaryOp("leaky_relu", x,
-                 [slope](float v) { return v > 0.0f ? v : slope * v; },
+                 [slope](float v) {
+                   const float scaled = slope * v;
+                   uint32_t v_bits, scaled_bits;
+                   std::memcpy(&v_bits, &v, sizeof(v_bits));
+                   std::memcpy(&scaled_bits, &scaled, sizeof(scaled_bits));
+                   const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
+                   const uint32_t bits =
+                       (v_bits & keep) | (scaled_bits & ~keep);
+                   float out;
+                   std::memcpy(&out, &bits, sizeof(out));
+                   return out;
+                 },
                  [slope](float v, float) { return v > 0.0f ? 1.0f : slope; });
 }
 

@@ -4,27 +4,56 @@ namespace causalformer {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      entries[i] = crc;
+// Slicing-by-8: entries[0] is the classic byte table; entries[k][i] is the
+// CRC of byte i followed by k zero bytes, so one step folds 8 input bytes
+// with 8 independent lookups instead of a chain of 8 dependent ones.
+struct Crc32Tables {
+  uint32_t entries[8][256];
+};
+
+constexpr Crc32Tables MakeTables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    tables.entries[0][i] = crc;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const uint32_t prev = tables.entries[k - 1][i];
+      tables.entries[k][i] = (prev >> 8) ^ tables.entries[0][prev & 0xFFu];
     }
   }
-};
+  return tables;
+}
+
+constexpr Crc32Tables kTables = MakeTables();
+
+// Little-endian 32-bit load, written byte-wise so it is host-independent;
+// gcc folds it into one load on little-endian targets.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t running) {
-  static const Crc32Table table;
+  const auto& t = kTables.entries;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = running ^ 0xFFFFFFFFu;
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(bytes);
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
   for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ bytes[i]) & 0xFFu];
+    crc = (crc >> 8) ^ t[0][(crc ^ bytes[i]) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

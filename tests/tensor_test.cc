@@ -115,6 +115,34 @@ TEST(OpsTest, BroadcastScalarOperand) {
   EXPECT_EQ(c.at({2}), 6.0f);
 }
 
+TEST(OpsTest, LeakyReluForwardMatchesBranchyFormBitForBit) {
+  // The forward is a bitwise select (so it vectorizes); it must give the
+  // bits of `v > 0 ? v : slope * v`, for NaN payloads, ±0, ±inf and
+  // denormals too, in the vector body and the tail.
+  const uint32_t patterns[] = {0x00000000u, 0x80000000u, 0x7F800000u,
+                               0xFF800000u, 0x7FC00000u, 0xFFC00001u,
+                               0x7FA5A5A5u, 0x00000001u, 0x807FFFFFu,
+                               0x3F800000u, 0xBF000000u, 0x7F7FFFFFu,
+                               0xFF7FFFFFu};
+  const size_t kinds = sizeof(patterns) / sizeof(patterns[0]);
+  for (const float slope : {0.1f, -0.5f, 0.0f, 1.0f, 3.0e38f}) {
+    for (int64_t n = 1; n <= 37; ++n) {
+      Tensor x = Tensor::Empty(Shape{n});
+      for (int64_t i = 0; i < n; ++i) {
+        std::memcpy(x.data() + i, &patterns[static_cast<size_t>(i) % kinds],
+                    sizeof(uint32_t));
+      }
+      const Tensor y = LeakyRelu(x, slope);
+      for (int64_t i = 0; i < n; ++i) {
+        const float v = x.data()[i];
+        const float expected = v > 0.0f ? v : slope * v;
+        EXPECT_EQ(std::memcmp(&y.data()[i], &expected, sizeof(float)), 0)
+            << "slope " << slope << " n " << n << " element " << i;
+      }
+    }
+  }
+}
+
 TEST(OpsTest, UnaryFunctions) {
   Tensor x = Tensor::FromVector(Shape{4}, {-2, -0.5, 0.5, 2});
   EXPECT_FLOAT_EQ(Relu(x).at({0}), 0.0f);

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "tensor/allocator.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/socket.h"
@@ -70,6 +76,33 @@ wire::Frame MustDecode(const std::vector<uint8_t>& bytes) {
   return frame;
 }
 
+// Float bit patterns a value-based comparison would blur: ±0, ±inf, quiet
+// and signalling NaNs with payloads, denormals, the extremes, and ordinary
+// values. Tensors are filled through memcpy so no float register ever
+// touches a signalling NaN before the codec does.
+const uint32_t kEdgeFloatBits[] = {
+    0x00000000u, 0x80000000u, 0x7F800000u, 0xFF800000u, 0x7FC00000u,
+    0xFFC00001u, 0x7FA5A5A5u, 0x7F800001u, 0xFFBFFFFFu, 0x00000001u,
+    0x807FFFFFu, 0x00400000u, 0x7F7FFFFFu, 0xFF7FFFFFu, 0x00800000u,
+    0x3F800000u, 0xC0490FDBu, 0x12345678u,
+};
+
+Tensor EdgeFloatTensor(const Shape& shape) {
+  Tensor t = Tensor::Empty(shape);
+  const size_t kinds = sizeof(kEdgeFloatBits) / sizeof(kEdgeFloatBits[0]);
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    std::memcpy(t.data() + i, &kEdgeFloatBits[static_cast<size_t>(i) % kinds],
+                sizeof(uint32_t));
+  }
+  return t;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
 // ---- CRC ------------------------------------------------------------------
 
 TEST(Crc32Test, KnownCheckValue) {
@@ -84,6 +117,62 @@ TEST(Crc32Test, ChainingMatchesOneShot) {
   for (size_t split = 0; split <= data.size(); ++split) {
     const uint32_t first = Crc32(data.data(), split);
     EXPECT_EQ(Crc32(data.data() + split, data.size() - split, first), oneshot);
+  }
+}
+
+// The plain one-bit-at-a-time CRC-32 definition: the oracle for the sliced
+// implementation.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size, uint32_t running) {
+  uint32_t crc = running ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..67 cover the empty input, tails alone, and one to eight
+  // 8-byte steps plus every tail; offsets 0..7 every load alignment.
+  const std::vector<uint8_t> bytes = RandomBytes(8192 + 8, 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 67; ++size) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, size),
+                ReferenceCrc32(bytes.data() + offset, size, 0))
+          << "offset " << offset << " size " << size;
+    }
+    EXPECT_EQ(Crc32(bytes.data() + offset, 8192),
+              ReferenceCrc32(bytes.data() + offset, 8192, 0))
+        << "offset " << offset << " size 8192";
+  }
+}
+
+TEST(Crc32Test, ChainedSplitsMatchReference) {
+  const std::vector<uint8_t> bytes = RandomBytes(8192 + 13, 12);
+  const uint32_t expected = ReferenceCrc32(bytes.data(), bytes.size(), 0);
+  const size_t cuts[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 64, 4095, 4096, 8191,
+                         bytes.size()};
+  for (const size_t a : cuts) {
+    for (const size_t b : cuts) {
+      if (b < a) continue;
+      // Three chained pieces: [0, a), [a, b), [b, end).
+      uint32_t crc = Crc32(bytes.data(), a);
+      EXPECT_EQ(crc, ReferenceCrc32(bytes.data(), a, 0));
+      crc = Crc32(bytes.data() + a, b - a, crc);
+      EXPECT_EQ(crc, ReferenceCrc32(bytes.data() + a, b - a,
+                                    ReferenceCrc32(bytes.data(), a, 0)));
+      crc = Crc32(bytes.data() + b, bytes.size() - b, crc);
+      EXPECT_EQ(crc, expected) << "cuts " << a << ", " << b;
+    }
   }
 }
 
@@ -773,17 +862,13 @@ TEST(WireMessageTest, DetectRoundTrip) {
   msg.options.max_windows = 5;
   msg.options.use_relevance = false;
   msg.options.epsilon = 0.25f;
-  msg.windows = RandomWindows(2, 99);
+  msg.windows = EdgeFloatTensor(Shape{3, 4, 5});
 
   wire::DetectMsg decoded;
   ASSERT_TRUE(wire::DecodeDetect(wire::EncodeDetect(msg), &decoded).ok());
   EXPECT_EQ(decoded.model, "prod");
   EXPECT_TRUE(SameDetectorOptions(decoded.options, msg.options));
-  ASSERT_EQ(decoded.windows.shape(), msg.windows.shape());
-  EXPECT_EQ(std::memcmp(decoded.windows.data(), msg.windows.data(),
-                        sizeof(float) * static_cast<size_t>(
-                                            msg.windows.numel())),
-            0);
+  EXPECT_TRUE(SameBits(decoded.windows, msg.windows));
 }
 
 TEST(WireMessageTest, DetectRejectsReservedFlagBits) {
@@ -1061,19 +1146,14 @@ TEST(WireMessageTest, StreamOpenRoundTrip) {
 TEST(WireMessageTest, AppendSamplesRoundTripPreservesData) {
   wire::AppendSamplesMsg msg;
   msg.stream = "s";
-  msg.samples =
-      Tensor::FromVector(Shape{3, 2}, {1.f, -2.f, 3.5f, 0.f, 1e-8f, 4e6f});
+  msg.samples = EdgeFloatTensor(Shape{4, 9});
 
   wire::AppendSamplesMsg decoded;
   ASSERT_TRUE(
       wire::DecodeAppendSamples(wire::EncodeAppendSamples(msg), &decoded)
           .ok());
   EXPECT_EQ(decoded.stream, "s");
-  ASSERT_EQ(decoded.samples.dim(0), 3);
-  ASSERT_EQ(decoded.samples.dim(1), 2);
-  for (int64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(decoded.samples.data()[i], msg.samples.data()[i]);
-  }
+  EXPECT_TRUE(SameBits(decoded.samples, msg.samples));
 }
 
 TEST(WireMessageTest, AppendSamplesRejectsTruncatedData) {
@@ -1084,6 +1164,76 @@ TEST(WireMessageTest, AppendSamplesRejectsTruncatedData) {
   payload.resize(payload.size() - 4);  // lose the last float
   wire::AppendSamplesMsg decoded;
   EXPECT_FALSE(wire::DecodeAppendSamples(payload, &decoded).ok());
+}
+
+TEST(WirePrimitiveTest, F32ArrayMatchesPerElementF32) {
+  const Tensor values = EdgeFloatTensor(Shape{37});
+  const float* v = values.data();
+  for (size_t count = 0; count <= 37; ++count) {
+    // A leading byte puts the array at an odd offset into the payload.
+    std::vector<uint8_t> bulk = {0xAB}, each = {0xAB};
+    wire::PayloadWriter(&bulk).F32Array(v, count);
+    wire::PayloadWriter each_writer(&each);
+    for (size_t i = 0; i < count; ++i) each_writer.F32(v[i]);
+    ASSERT_EQ(bulk, each) << "count " << count;
+
+    std::vector<float> read(count + 1, 0.0f);
+    wire::PayloadReader reader(bulk.data() + 1, bulk.size() - 1);
+    ASSERT_TRUE(reader.F32Array(read.data(), count).ok());
+    EXPECT_TRUE(reader.ExpectEnd().ok());
+    EXPECT_EQ(std::memcmp(read.data(), v, sizeof(float) * count), 0);
+  }
+}
+
+TEST(WirePrimitiveTest, TruncatedF32ArrayWritesNothing) {
+  std::vector<uint8_t> payload;
+  const float values[3] = {1.0f, 2.0f, 3.0f};
+  wire::PayloadWriter(&payload).F32Array(values, 3);
+  payload.pop_back();
+  float out[3] = {-1.0f, -1.0f, -1.0f};
+  wire::PayloadReader reader(payload.data(), payload.size());
+  EXPECT_FALSE(reader.F32Array(out, 3).ok());
+  EXPECT_EQ(reader.remaining(), payload.size());  // nothing consumed
+  for (const float f : out) EXPECT_EQ(f, -1.0f);
+  // A count whose byte size wraps size_t is rejected, not wrapped.
+  EXPECT_FALSE(reader.F32Array(out, SIZE_MAX / 2).ok());
+}
+
+TEST(WireMessageTest, DetectBatchRoundTripBitForBit) {
+  wire::DetectBatchMsg batch;
+  batch.model = "m";
+  batch.windows = {EdgeFloatTensor(Shape{1, 2, 3}),
+                   EdgeFloatTensor(Shape{2, 4, 5})};
+  wire::DetectBatchMsg decoded_batch;
+  ASSERT_TRUE(wire::DecodeDetectBatch(wire::EncodeDetectBatch(batch),
+                                      &decoded_batch)
+                  .ok());
+  ASSERT_EQ(decoded_batch.windows.size(), 2u);
+  EXPECT_TRUE(SameBits(decoded_batch.windows[0], batch.windows[0]));
+  EXPECT_TRUE(SameBits(decoded_batch.windows[1], batch.windows[1]));
+}
+
+TEST(WireMessageTest, TruncatedFloatDataFailsBeforeAllocating) {
+  wire::DetectMsg detect;
+  detect.model = "m";
+  detect.windows = RandomWindows(2, 13);
+  auto detect_payload = wire::EncodeDetect(detect);
+  detect_payload.pop_back();
+  wire::AppendSamplesMsg append;
+  append.stream = "s";
+  append.samples = EdgeFloatTensor(Shape{3, 4});
+  auto append_payload = wire::EncodeAppendSamples(append);
+  append_payload.pop_back();
+
+  // Every tensor the decoders build draws from this allocator.
+  auto tracking = std::make_shared<TrackingAllocator>();
+  ScopedAllocator install(tracking);
+  wire::DetectMsg decoded_detect;
+  EXPECT_FALSE(wire::DecodeDetect(detect_payload, &decoded_detect).ok());
+  wire::AppendSamplesMsg decoded_append;
+  EXPECT_FALSE(
+      wire::DecodeAppendSamples(append_payload, &decoded_append).ok());
+  EXPECT_EQ(tracking->allocate_calls(), 0);
 }
 
 TEST(WireMessageTest, StreamReportRoundTripPreservesDriftFields) {
@@ -1316,6 +1466,12 @@ class RawConn {
   bool Eof() {
     uint8_t byte;
     return !RecvAll(fd_, &byte, 1).ok();
+  }
+
+  // True when bytes (or EOF) arrive within `ms` milliseconds.
+  bool Readable(int ms) {
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, ms) > 0;
   }
 
  private:
@@ -1553,6 +1709,102 @@ TEST_F(WireLoopbackTest, PipelinedDetectsAnswerInOrder) {
     ExpectSameResult(responses[static_cast<size_t>(i)].result,
                      *expected.result);
   }
+}
+
+TEST_F(WireLoopbackTest, ReadyResponsesWaitBehindABlockedDetect) {
+  // Cache hits and pings are answered on the poll thread, but never ahead
+  // of an earlier response of their own connection. Hold the executor
+  // inside a miss and check both halves of that.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool hold = false;
+  bool entered = false;
+  EngineOptions opts;
+  opts.detect_observer_for_testing = [&](const CacheKey&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!hold) return;
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return !hold; });
+  };
+  InferenceEngine engine(&registry_, opts);
+  WireServer server(&engine);
+  ASSERT_TRUE(server.Start().ok());
+  const auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    hold = false;
+    cv.notify_all();
+  };
+  // Let the executor go on every exit path, or shutdown would wait on it.
+  struct Releaser {
+    std::function<void()> fn;
+    ~Releaser() { fn(); }
+  } releaser{release};
+
+  const Tensor hot = RandomWindows(1, 80);
+  const Tensor cold = RandomWindows(2, 81);
+  WireClient warm;
+  ASSERT_TRUE(warm.Connect("127.0.0.1", server.port()).ok());
+  const auto warmed = warm.Detect("m", hot);
+  ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    hold = true;
+  }
+
+  // [miss, hit, ping] pipelined in one write on one connection.
+  wire::DetectMsg msg;
+  msg.model = "m";
+  msg.windows = cold;
+  std::vector<uint8_t> bytes =
+      wire::EncodeFrame(wire::MessageType::kDetect, wire::EncodeDetect(msg));
+  msg.windows = hot;
+  for (const auto& frame :
+       {wire::EncodeFrame(wire::MessageType::kDetect, wire::EncodeDetect(msg)),
+        wire::EncodeFrame(wire::MessageType::kPing, wire::EncodePing(7))}) {
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  RawConn pipelined(server.port());
+  pipelined.Send(bytes);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return entered; }))
+        << "the miss never reached the executor";
+  }
+
+  // A hit on another connection is answered while the miss is held.
+  auto other = std::async(std::launch::async, [&] {
+    WireClient client;
+    CF_CHECK(client.Connect("127.0.0.1", server.port()).ok());
+    return client.Detect("m", hot);
+  });
+  const bool answered =
+      other.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  EXPECT_TRUE(answered) << "a ready hit waited for another connection's miss";
+  // The pipelined hit and ping wait behind their connection's miss.
+  EXPECT_FALSE(pipelined.Readable(100));
+  release();
+  const auto other_hit = other.get();
+  ASSERT_TRUE(other_hit.ok()) << other_hit.status().ToString();
+  EXPECT_TRUE(other_hit->cache_hit);
+
+  wire::Frame frame;
+  wire::DetectResultMsg result;
+  ASSERT_TRUE(pipelined.Recv(&frame));
+  ASSERT_EQ(frame.type, wire::MessageType::kDetectResult);
+  ASSERT_TRUE(wire::DecodeDetectResult(frame.payload, &result).ok());
+  EXPECT_FALSE(result.cache_hit);
+  ASSERT_TRUE(pipelined.Recv(&frame));
+  ASSERT_EQ(frame.type, wire::MessageType::kDetectResult);
+  ASSERT_TRUE(wire::DecodeDetectResult(frame.payload, &result).ok());
+  EXPECT_TRUE(result.cache_hit);
+  ExpectSameResult(result.result, warmed->result);
+  ASSERT_TRUE(pipelined.Recv(&frame));
+  ASSERT_EQ(frame.type, wire::MessageType::kPong);
+  uint64_t token = 0;
+  ASSERT_TRUE(wire::DecodePing(frame.payload, &token).ok());
+  EXPECT_EQ(token, 7u);
 }
 
 TEST_F(WireLoopbackTest, UnsupportedVersionAnswersErrorThenCloses) {
