@@ -1,31 +1,29 @@
-// Shard-scaling benchmark: closed-loop clients fire distinct discovery
-// queries at an EnginePool and we measure requests/sec at 1, 2, 4 and 8
-// shards, on two scenarios:
+// Executor-scaling benchmark: closed-loop clients fire discovery queries at
+// one InferenceEngine and we measure requests/sec with 1, 2, 4 and 8 batch
+// executors, on three scenarios:
 //
 //  * uniform — one model, every query a distinct window batch of one shape
-//    (pure compute scaling; the ring spreads the key space across shards);
+//    (pure compute scaling across executors);
 //  * mixed_shape — two models with different geometries queried
-//    alternately, so each shard's micro-batcher runs several shape buckets
-//    at once (the acceptance scenario: near-linear req/s as shards grow);
+//    alternately, so the micro-batcher runs several shape buckets at once;
 //  * duplicate_heavy — 16 clients hammering only 8 distinct window batches
-//    with in-flight dedup ON: identical keys co-locate on one shard, so the
-//    fan-in savings of the unsharded engine must survive sharding (watch
-//    for a *collapse* here, not a speedup — most submissions coalesce).
+//    with in-flight dedup ON: most submissions coalesce onto a running
+//    leader, so watch for a *collapse* here, not a speedup.
 //
-// The pool is configured so a shard's whole detection pass runs serially on
-// that shard's one executor thread: CF_NUM_THREADS=1 (set before any pool
-// work, so ParallelFor runs inline on the caller) and
-// max_in_flight_batches=1 per shard. Scaling then comes purely from shard
-// count — one independent compute thread per shard — up to the machine's
-// core count, which is recorded in the output: on a single-core box every
-// configuration time-slices the same core and the curve is flat, so judge
-// BENCH_shard.json against its "cores" field.
+// The engine is configured so each batch's whole detection pass runs
+// serially on its executor thread: CF_NUM_THREADS=1 (set before any pool
+// work, so ParallelFor runs inline on the caller) and a fixed
+// max_in_flight_batches (adaptive admission off). Scaling then comes purely
+// from the executor count — one compute thread per in-flight batch — up to
+// the machine's core count, which is recorded in the output: on a
+// single-core box every configuration time-slices the same core and the
+// curve is flat, so judge BENCH_executor.json against its "cores" field.
 //
-// Results are printed as a table and written to BENCH_shard.json.
+// Results are printed as a table and written to BENCH_executor.json.
 //
-// Environment knobs: CF_BENCH_SHARD_QUERIES (per configuration, default
-// 256), CF_BENCH_SHARD_CONNS (client threads, default 16), CF_FAST=1
-// (smoke: fewer queries and only shards 1 and 2).
+// Environment knobs: CF_BENCH_EXECUTOR_QUERIES (per configuration, default
+// 256), CF_BENCH_EXECUTOR_CONNS (client threads, default 16), CF_FAST=1
+// (smoke: fewer queries and only 1 and 2 executors).
 
 #include <algorithm>
 #include <atomic>
@@ -40,7 +38,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "data/windowing.h"
-#include "serve/engine_pool.h"
+#include "serve/inference_engine.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -73,32 +71,31 @@ struct WorkItem {
 
 struct RunResult {
   std::string scenario;
-  size_t shards = 0;
+  int executors = 0;
   int queries = 0;
   double rps = 0;
   double p50_ms = 0;
   double p99_ms = 0;
-  double speedup = 1.0;  // vs the 1-shard run of the same scenario
+  double speedup = 1.0;  // vs the 1-executor run of the same scenario
 };
 
 // Closed loop: `concurrency` clients drain the shared work list against a
-// fresh `num_shards`-shard pool. Caches are off so every request computes —
-// the bench measures detection throughput, not cache hit rate. `dedup` is
-// on only for the duplicate-heavy scenario (elsewhere queries are distinct
-// and the table would be pure overhead).
-RunResult RunShards(cf::serve::ModelRegistry* registry,
-                    const std::string& scenario,
-                    const std::vector<WorkItem>& work, size_t num_shards,
-                    int concurrency, bool dedup) {
-  cf::serve::EnginePoolOptions popts;
-  popts.num_shards = num_shards;
-  popts.engine.cache_capacity = 0;
-  popts.engine.dedup_in_flight = dedup;
-  // One executor per shard, no adaptation: a shard is exactly one serial
-  // compute thread, so req/s scales with shard count up to the core count.
-  popts.engine.batcher.max_in_flight_batches = 1;
-  popts.engine.batcher.adaptive_in_flight = false;
-  cf::serve::EnginePool pool(registry, popts);
+// fresh engine with `executors` batch executors. Caches are off so every
+// request computes — the bench measures detection throughput, not cache hit
+// rate. `dedup` is on only for the duplicate-heavy scenario (elsewhere
+// queries are distinct and the table would be pure overhead).
+RunResult RunExecutors(cf::serve::ModelRegistry* registry,
+                       const std::string& scenario,
+                       const std::vector<WorkItem>& work, int executors,
+                       int concurrency, bool dedup) {
+  cf::serve::EngineOptions eopts;
+  eopts.cache_capacity = 0;
+  eopts.dedup_in_flight = dedup;
+  // A fixed executor count, no adaptation: each executor is one serial
+  // compute thread, so req/s scales with executors up to the core count.
+  eopts.batcher.max_in_flight_batches = executors;
+  eopts.batcher.adaptive_in_flight = false;
+  cf::serve::InferenceEngine engine(registry, eopts);
 
   std::atomic<int> next{0};
   std::mutex mu;
@@ -117,7 +114,7 @@ RunResult RunShards(cf::serve::ModelRegistry* registry,
         request.model = item.model;
         request.windows = item.windows;
         cf::Stopwatch timer;
-        const auto response = pool.Discover(std::move(request));
+        const auto response = engine.Discover(std::move(request));
         if (!response.status.ok()) std::abort();
         local.push_back(timer.ElapsedSeconds());
       }
@@ -129,7 +126,7 @@ RunResult RunShards(cf::serve::ModelRegistry* registry,
 
   RunResult result;
   result.scenario = scenario;
-  result.shards = num_shards;
+  result.executors = executors;
   result.queries = static_cast<int>(work.size());
   result.rps = static_cast<double>(work.size()) / wall.ElapsedSeconds();
   result.p50_ms = Percentile(latencies, 0.50) * 1e3;
@@ -166,18 +163,18 @@ cf::Tensor TrainAndRegister(cf::serve::ModelRegistry* registry,
 
 int main() {
   // Before anything touches the global ThreadPool: one pool worker means
-  // ParallelFor runs inline on its calling thread, so each shard's executor
-  // is an independent serial compute lane (see the header comment).
+  // ParallelFor runs inline on its calling thread, so each executor is an
+  // independent serial compute lane (see the header comment).
   ::setenv("CF_NUM_THREADS", "1", /*overwrite=*/1);
 
   const bool fast = std::getenv("CF_FAST") != nullptr;
-  const int queries = EnvInt("CF_BENCH_SHARD_QUERIES", fast ? 96 : 256);
-  const int conns = EnvInt("CF_BENCH_SHARD_CONNS", 16);
+  const int queries = EnvInt("CF_BENCH_EXECUTOR_QUERIES", fast ? 96 : 256);
+  const int conns = EnvInt("CF_BENCH_EXECUTOR_CONNS", 16);
   const unsigned cores = std::thread::hardware_concurrency();
-  std::vector<size_t> shard_counts =
-      fast ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4, 8};
+  const std::vector<int> executor_counts =
+      fast ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
-  std::printf("shard scaling benchmark: %d queries/config, %d clients, "
+  std::printf("executor scaling benchmark: %d queries/config, %d clients, "
               "%u cores\n",
               queries, conns, cores);
 
@@ -190,7 +187,7 @@ int main() {
                        /*seed=*/177, fast);
 
   // Distinct single-window batches: index i picks window i (mod pool), so
-  // every query is a different cache key and the ring spreads them. With
+  // every query is a different cache key. With
   // `distinct` set, the work list cycles through that many keys instead —
   // the duplicate-heavy shape, where identical submissions coalesce.
   auto make_work = [&](bool mixed, int distinct) {
@@ -226,51 +223,51 @@ int main() {
     const std::vector<WorkItem> work =
         make_work(scenario.mixed, scenario.distinct);
     double base_rps = 0;
-    for (const size_t shards : shard_counts) {
-      RunResult r = RunShards(&registry, scenario.name, work, shards, conns,
-                              scenario.dedup);
-      if (shards == 1) base_rps = r.rps;
+    for (const int executors : executor_counts) {
+      RunResult r = RunExecutors(&registry, scenario.name, work, executors,
+                                 conns, scenario.dedup);
+      if (executors == 1) base_rps = r.rps;
       r.speedup = base_rps > 0 ? r.rps / base_rps : 0.0;
       std::fprintf(stderr,
-                   "  [%s shards=%zu] %.1f req/s p50=%.2fms p99=%.2fms "
+                   "  [%s executors=%d] %.1f req/s p50=%.2fms p99=%.2fms "
                    "speedup=%.2fx\n",
-                   r.scenario.c_str(), r.shards, r.rps, r.p50_ms, r.p99_ms,
+                   r.scenario.c_str(), r.executors, r.rps, r.p50_ms, r.p99_ms,
                    r.speedup);
       results.push_back(std::move(r));
     }
   }
 
   cf::Table table(
-      {"scenario", "shards", "req/s", "p50 ms", "p99 ms", "speedup"});
+      {"scenario", "executors", "req/s", "p50 ms", "p99 ms", "speedup"});
   for (const auto& r : results) {
-    table.AddRow({r.scenario, std::to_string(r.shards),
+    table.AddRow({r.scenario, std::to_string(r.executors),
                   cf::StrFormat("%.1f", r.rps), cf::StrFormat("%.2f", r.p50_ms),
                   cf::StrFormat("%.2f", r.p99_ms),
                   cf::StrFormat("%.2fx", r.speedup)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  FILE* json = std::fopen("BENCH_shard.json", "w");
+  FILE* json = std::fopen("BENCH_executor.json", "w");
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_shard.json\n");
+    std::fprintf(stderr, "cannot write BENCH_executor.json\n");
     return 1;
   }
   std::fprintf(json,
-               "{\n  \"benchmark\": \"shard_scaling\",\n"
+               "{\n  \"benchmark\": \"executor_scaling\",\n"
                "  \"cores\": %u,\n  \"clients\": %d,\n"
                "  \"queries_per_config\": %d,\n  \"runs\": [\n",
                cores, conns, queries);
   for (size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(json,
-                 "    {\"scenario\": \"%s\", \"shards\": %zu, "
+                 "    {\"scenario\": \"%s\", \"executors\": %d, "
                  "\"requests_per_sec\": %.2f, \"p50_ms\": %.3f, "
                  "\"p99_ms\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.scenario.c_str(), r.shards, r.rps, r.p50_ms, r.p99_ms,
+                 r.scenario.c_str(), r.executors, r.rps, r.p50_ms, r.p99_ms,
                  r.speedup, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
-  std::printf("wrote BENCH_shard.json\n");
+  std::printf("wrote BENCH_executor.json\n");
   return 0;
 }

@@ -14,8 +14,8 @@
 /// WireServer dispatches the v2 streaming messages (StreamOpen/StreamClose/
 /// AppendSamples/StreamReports) through this interface instead of depending
 /// on the streaming layer directly, keeping the dependency arrow pointing
-/// downward: `src/stream/` (WindowScheduler, the only production
-/// implementation) depends on `src/serve/`, never the reverse. A server
+/// downward: `src/stream/` (WindowScheduler, the one implementation)
+/// depends on `src/serve/`, never the reverse. A server
 /// constructed without a backend answers every streaming frame
 /// FAILED_PRECONDITION ("streaming disabled").
 ///

@@ -46,13 +46,13 @@ inline constexpr uint8_t kMagic[4] = {0x43, 0x46, 0x57, 0x50};
 /// exposition plus per-histogram quantile summaries); version 5 added the
 /// diagnostics frames (kDump/kDumpResult: the flight recorder's bundle —
 /// log tail, metrics snapshot, chrome-trace JSON, engine state — fetched
-/// remotely); version 6 added the per-shard rows of StatsResult (one row
-/// per engine shard slot when the server fronts a sharded EnginePool);
-/// version 7 added the profiling frames (kProfile/kProfileResult: a timed
+/// remotely); version 6 added per-shard rows to StatsResult; version 7
+/// added the profiling frames (kProfile/kProfileResult: a timed
 /// sampling-profiler window returning folded stacks and chrome-trace
-/// JSON) — see docs/wire-protocol.md §3 for the version history and
-/// negotiation rules.
-inline constexpr uint8_t kVersion = 7;
+/// JSON); version 8 dropped the v6 shard rows again, so StatsResult ends
+/// with its model list — see docs/wire-protocol.md §3 for the version
+/// history and negotiation rules.
+inline constexpr uint8_t kVersion = 8;
 /// Fixed frame header size in bytes (payload follows immediately).
 inline constexpr size_t kHeaderSize = 16;
 /// Upper bound on the payload length field; larger frames are malformed
@@ -238,22 +238,6 @@ struct StatsResultMsg {
     int64_t num_series = 0;      ///< N the model was built for
     int64_t window = 0;          ///< T the model was built for
   };
-  /// One engine shard slot (v6), as reported by EngineFrontend::
-  /// shard_stats(). An unsharded server sends zero rows; a pool sends one
-  /// per slot, dead slots included. The aggregate fields at the top of the
-  /// message stay the merged view, so pre-v6 dashboards keep working.
-  struct Shard {
-    uint32_t shard = 0;        ///< slot index in the pool
-    bool live = false;         ///< slot receives newly routed keys
-    bool draining = false;     ///< graceful drain in progress
-    uint64_t routed = 0;       ///< requests routed to this slot (lifetime)
-    uint64_t restarts = 0;     ///< fresh engines given to this slot
-    uint64_t cache_hits = 0;   ///< slot ScoreCache hits
-    uint64_t cache_misses = 0; ///< slot ScoreCache misses
-    uint64_t cache_size = 0;   ///< slot ScoreCache entries (gauge)
-    uint64_t dedup_hits = 0;   ///< slot in-flight dedup fan-ins
-    uint64_t batch_batches = 0;  ///< slot batches dispatched
-  };
   uint64_t cache_hits = 0;        ///< ScoreCache hits
   uint64_t cache_misses = 0;      ///< ScoreCache misses
   uint64_t cache_evictions = 0;   ///< ScoreCache evictions
@@ -277,7 +261,6 @@ struct StatsResultMsg {
   uint64_t server_frames = 0;       ///< request frames decoded
   uint64_t server_wire_errors = 0;  ///< malformed frames / protocol errors
   std::vector<Model> models;        ///< registered models, sorted by name
-  std::vector<Shard> shards;        ///< per-shard rows, slot order (v6)
 };
 
 /// kError response: a wire-mapped Status.

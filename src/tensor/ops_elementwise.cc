@@ -314,25 +314,32 @@ Tensor Relu(const Tensor& x) {
                  [](float v, float) { return v > 0.0f ? 1.0f : 0.0f; });
 }
 
+namespace {
+
+// The bits of `v > 0 ? pos : neg`, picked by a bitwise select so a loop
+// calling it has no branch and vectorizes. A ?: does not: gcc 12 reports
+// "control flow in loop", and where an arm holds a multiply it sinks the
+// multiply into the branch and then may not speculate it
+// (-ftrapping-math). Either arm's bits pass through untouched, NaN included.
+inline float SelectPositive(float v, float pos, float neg) {
+  uint32_t pos_bits, neg_bits;
+  std::memcpy(&pos_bits, &pos, sizeof(pos_bits));
+  std::memcpy(&neg_bits, &neg, sizeof(neg_bits));
+  const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
+  const uint32_t bits = (pos_bits & keep) | (neg_bits & ~keep);
+  float out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
+}
+
+}  // namespace
+
 Tensor LeakyRelu(const Tensor& x, float slope) {
-  // The forward picks v or slope * v by a bitwise select, so the loop has
-  // no branch and vectorizes. A ?: does not: gcc 12 sinks the multiply
-  // into the branch and then may not speculate it (-ftrapping-math). Both
-  // values are the branchy form's, NaN included.
   return UnaryOp("leaky_relu", x,
-                 [slope](float v) {
-                   const float scaled = slope * v;
-                   uint32_t v_bits, scaled_bits;
-                   std::memcpy(&v_bits, &v, sizeof(v_bits));
-                   std::memcpy(&scaled_bits, &scaled, sizeof(scaled_bits));
-                   const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
-                   const uint32_t bits =
-                       (v_bits & keep) | (scaled_bits & ~keep);
-                   float out;
-                   std::memcpy(&out, &bits, sizeof(out));
-                   return out;
-                 },
-                 [slope](float v, float) { return v > 0.0f ? 1.0f : slope; });
+                 [slope](float v) { return SelectPositive(v, v, slope * v); },
+                 [slope](float v, float) {
+                   return SelectPositive(v, 1.0f, slope);
+                 });
 }
 
 Tensor Pow(const Tensor& x, float exponent) {

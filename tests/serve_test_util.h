@@ -6,24 +6,20 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 
 #include "core/causality_transformer.h"
 #include "core/detector.h"
-#include "serve/engine_pool.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 // Shared fixtures of the serving-layer tests (serve_test, serve_stress_test,
-// stream_test, shard_fault_test): tiny models, the pool-hostage
-// dispatch-timing lever, the FailpointShard kill/drain-mid-batch
-// choreography, and the deterministic concurrency primitives (Barrier,
-// ScriptedClock) the stress harness is built on.
+// stream_test): tiny models, the pool-hostage dispatch-timing lever, and the
+// deterministic concurrency primitives (Barrier, ScriptedClock) the stress
+// harness is built on.
 
 namespace causalformer {
 namespace serve {
@@ -108,78 +104,6 @@ class PoolHostage {
   bool release_ = false;
   std::atomic<int> blocked_{0};
   std::atomic<int> exited_{0};
-};
-
-// Fault-injection choreography for one EnginePool shard: wedge the shard
-// mid-batch (a PoolHostage holds every detector kernel, so an executing
-// batch cannot finish), then kill or drain it on a helper thread — both
-// block inside the engine teardown until the kernels are released, which is
-// exactly the window the fault tests assert in (followers parked, queue
-// pending, ring already re-homed). Destruction releases the kernels and
-// joins the helper, so a failing assertion mid-scene cannot hang the test.
-class FailpointShard {
- public:
-  FailpointShard(EnginePool* pool, size_t shard)
-      : pool_(pool), shard_(shard),
-        hostage_(std::make_unique<PoolHostage>()) {}
-
-  ~FailpointShard() {
-    ReleaseKernels();
-    Join();
-  }
-
-  // Submits through the shard's pinned frontend and blocks until the shard
-  // reports an executing batch — stuck on the hostaged kernels.
-  std::future<DiscoveryResponse> SubmitStuck(DiscoveryRequest request) {
-    auto future =
-        pool_->shard_frontend(shard_)->SubmitAsync(std::move(request));
-    WaitExecuting();
-    return future;
-  }
-
-  // Spins until the shard's batcher reports at least one executing batch.
-  void WaitExecuting() {
-    while (pool_->shard_stats()[shard_].engine.batcher.active_batches < 1) {
-      std::this_thread::yield();
-    }
-  }
-
-  // Launches KillShard/DrainShard on the helper thread. It blocks in the
-  // engine teardown (kill) or the quiesce poll (drain) until the kernels
-  // are released; the ring re-homes the shard's keys immediately though —
-  // spin on pool()->router().is_live(shard()) turning false to sequence.
-  void KillAsync() {
-    StartOp([this] { return pool_->KillShard(shard_); });
-  }
-  void DrainAsync() {
-    StartOp([this] { return pool_->DrainShard(shard_); });
-  }
-
-  // Lets the wedged batch (and everything queued behind it) run.
-  void ReleaseKernels() {
-    if (hostage_ != nullptr) hostage_->Release();
-  }
-
-  // Waits for the pending kill/drain and returns its Status.
-  Status Join() {
-    if (op_.joinable()) op_.join();
-    return status_;
-  }
-
-  EnginePool* pool() { return pool_; }
-  size_t shard() const { return shard_; }
-
- private:
-  void StartOp(std::function<Status()> fn) {
-    ASSERT_FALSE(op_.joinable()) << "one kill/drain at a time";
-    op_ = std::thread([this, fn = std::move(fn)] { status_ = fn(); });
-  }
-
-  EnginePool* pool_;
-  const size_t shard_;
-  std::unique_ptr<PoolHostage> hostage_;
-  std::thread op_;
-  Status status_;
 };
 
 // A reusable (generation-counted) thread barrier: Wait() blocks until

@@ -116,9 +116,10 @@ TEST(OpsTest, BroadcastScalarOperand) {
 }
 
 TEST(OpsTest, LeakyReluForwardMatchesBranchyFormBitForBit) {
-  // The forward is a bitwise select (so it vectorizes); it must give the
-  // bits of `v > 0 ? v : slope * v`, for NaN payloads, ±0, ±inf and
-  // denormals too, in the vector body and the tail.
+  // Forward and VJP are bitwise selects (so they vectorize); they must give
+  // the bits of `v > 0 ? v : slope * v` and, through a ones cotangent, of
+  // `v > 0 ? 1 : slope`, for NaN payloads, ±0, ±inf and denormals too, in
+  // the vector body and the tail.
   const uint32_t patterns[] = {0x00000000u, 0x80000000u, 0x7F800000u,
                                0xFF800000u, 0x7FC00000u, 0xFFC00001u,
                                0x7FA5A5A5u, 0x00000001u, 0x807FFFFFu,
@@ -132,12 +133,19 @@ TEST(OpsTest, LeakyReluForwardMatchesBranchyFormBitForBit) {
         std::memcpy(x.data() + i, &patterns[static_cast<size_t>(i) % kinds],
                     sizeof(uint32_t));
       }
+      x.set_requires_grad(true);
       const Tensor y = LeakyRelu(x, slope);
+      y.Backward(Tensor::Ones(Shape{n}));
+      ASSERT_TRUE(x.grad().defined());
       for (int64_t i = 0; i < n; ++i) {
         const float v = x.data()[i];
         const float expected = v > 0.0f ? v : slope * v;
         EXPECT_EQ(std::memcmp(&y.data()[i], &expected, sizeof(float)), 0)
             << "slope " << slope << " n " << n << " element " << i;
+        const float expected_grad = v > 0.0f ? 1.0f : slope;
+        EXPECT_EQ(
+            std::memcmp(&x.grad().data()[i], &expected_grad, sizeof(float)), 0)
+            << "grad: slope " << slope << " n " << n << " element " << i;
       }
     }
   }

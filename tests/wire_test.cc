@@ -180,7 +180,7 @@ TEST(Crc32Test, ChainedSplitsMatchReference) {
 
 TEST(WireFrameTest, DocumentedPingFrameBytes) {
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x01, 0x00, 0x00,  // magic, v6, Ping
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x01, 0x00, 0x00,  // magic, v8, Ping
       0x08, 0x00, 0x00, 0x00, 0x25, 0xed, 0xcc, 0xa5,  // length 8, CRC
       0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // token LE
   };
@@ -194,7 +194,7 @@ TEST(WireFrameTest, DocumentedDetectFrameBytes) {
   // The worked Detect hex dump: model "demo", default detector options,
   // windows [B=1, N=2, T=2] = {1, 2, 3, 4}.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x07, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x07, 0x00, 0x00,
       0x39, 0x00, 0x00, 0x00, 0x46, 0x5a, 0xa4, 0xc2,
       0x04, 0x00, 0x00, 0x00, 0x64, 0x65, 0x6d, 0x6f,
       0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
@@ -223,7 +223,7 @@ TEST(WireFrameTest, DocumentedStreamOpenFrameBytes) {
   // (window/history 0 = server-resolved, max_in_flight 4, max_reports 256,
   // default detector options, drift thresholds 0.25/0.34, stability 3).
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x0f, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x0f, 0x00, 0x00,
       0x57, 0x00, 0x00, 0x00, 0x26, 0x66, 0x96, 0xf6,
       0x02, 0x00, 0x00, 0x00, 0x73, 0x31, 0x04, 0x00,
       0x00, 0x00, 0x64, 0x65, 0x6d, 0x6f, 0x00, 0x00,
@@ -250,7 +250,7 @@ TEST(WireFrameTest, DocumentedStreamOpenFrameBytes) {
 TEST(WireFrameTest, DocumentedStreamOpenOkFrameBytes) {
   // Resolved config: window 8, stride 2, history 32.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x10, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x10, 0x00, 0x00,
       0x18, 0x00, 0x00, 0x00, 0xab, 0xb1, 0x1a, 0x0f,
       0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -268,7 +268,7 @@ TEST(WireFrameTest, DocumentedStreamOpenOkFrameBytes) {
 
 TEST(WireFrameTest, DocumentedStreamCloseFrameBytes) {
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x11, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x11, 0x00, 0x00,
       0x06, 0x00, 0x00, 0x00, 0xa7, 0x2a, 0xc6, 0xa9,
       0x02, 0x00, 0x00, 0x00, 0x73, 0x31,
   };
@@ -281,7 +281,7 @@ TEST(WireFrameTest, DocumentedStreamCloseFrameBytes) {
 TEST(WireFrameTest, DocumentedStreamCloseOkFrameBytes) {
   // Empty payload: header only, CRC of zero bytes is 0.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x12, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x12, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
   const auto frame = wire::EncodeFrame(wire::MessageType::kStreamCloseOk, {});
@@ -292,7 +292,7 @@ TEST(WireFrameTest, DocumentedStreamCloseOkFrameBytes) {
 TEST(WireFrameTest, DocumentedAppendSamplesFrameBytes) {
   // Stream "s1", samples [N=2, K=2] = {1, 2, 3, 4} (series-major).
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x13, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x13, 0x00, 0x00,
       0x1e, 0x00, 0x00, 0x00, 0x89, 0x85, 0x94, 0x52,
       0x02, 0x00, 0x00, 0x00, 0x73, 0x31, 0x02, 0x00,
       0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -312,7 +312,7 @@ TEST(WireFrameTest, DocumentedAppendSamplesOkFrameBytes) {
   // total_samples 10, windows_emitted 2, windows_dropped 0,
   // windows_failed 0, pending 1, deduped_windows 1 (v3).
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x14, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x14, 0x00, 0x00,
       0x2c, 0x00, 0x00, 0x00, 0x13, 0x30, 0xdb, 0xfb,
       0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -337,10 +337,10 @@ TEST(WireFrameTest, DocumentedStatsResultFrameBytes) {
   // 0 expirations, 4/256 entries; batcher 9 requests, 5 batches (max 3),
   // 4 coalesced, 0 rejected; dedup 6 hits, 1 in flight; admission limit 2,
   // 1 shape bucket; server 1 connection, 12 frames, 0 wire errors; no
-  // models; no shard rows (the trailing v6 count of 0).
+  // models.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x0c, 0x00, 0x00,
-      0x8c, 0x00, 0x00, 0x00, 0xac, 0xae, 0x90, 0x68,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x0c, 0x00, 0x00,
+      0x88, 0x00, 0x00, 0x00, 0x3b, 0x7e, 0xf3, 0x49,
       0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -358,7 +358,6 @@ TEST(WireFrameTest, DocumentedStatsResultFrameBytes) {
       0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00,
   };
   wire::StatsResultMsg msg;
   msg.cache_hits = 7;
@@ -376,88 +375,6 @@ TEST(WireFrameTest, DocumentedStatsResultFrameBytes) {
   msg.batch_shape_buckets = 1;
   msg.server_connections = 1;
   msg.server_frames = 12;
-  const auto frame = wire::EncodeFrame(wire::MessageType::kStatsResult,
-                                       wire::EncodeStatsResult(msg));
-  ASSERT_EQ(frame.size(), sizeof(kExpected));
-  EXPECT_EQ(std::memcmp(frame.data(), kExpected, sizeof(kExpected)), 0);
-}
-
-TEST(WireFrameTest, DocumentedShardedStatsResultFrameBytes) {
-  // The second §7.8 dump: the same counters from a two-shard pool mid-drain
-  // — shard 0 live (5 routed), shard 1 draining after 1 restart (4 routed).
-  const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x0c, 0x00, 0x00,
-      0x06, 0x01, 0x00, 0x00, 0x86, 0x82, 0xeb, 0x15,
-      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x04, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-  };
-  wire::StatsResultMsg msg;
-  msg.cache_hits = 7;
-  msg.cache_misses = 2;
-  msg.cache_evictions = 1;
-  msg.cache_size = 4;
-  msg.cache_capacity = 256;
-  msg.batch_requests = 9;
-  msg.batch_batches = 5;
-  msg.batch_coalesced = 4;
-  msg.batch_max = 3;
-  msg.dedup_hits = 6;
-  msg.dedup_in_flight = 1;
-  msg.batch_in_flight_limit = 2;
-  msg.batch_shape_buckets = 1;
-  msg.server_connections = 1;
-  msg.server_frames = 12;
-  wire::StatsResultMsg::Shard live;
-  live.shard = 0;
-  live.live = true;
-  live.routed = 5;
-  live.cache_hits = 4;
-  live.cache_misses = 1;
-  live.cache_size = 2;
-  live.dedup_hits = 3;
-  live.batch_batches = 3;
-  wire::StatsResultMsg::Shard draining;
-  draining.shard = 1;
-  draining.draining = true;
-  draining.routed = 4;
-  draining.restarts = 1;
-  draining.cache_hits = 3;
-  draining.cache_misses = 1;
-  draining.cache_size = 2;
-  draining.dedup_hits = 3;
-  draining.batch_batches = 2;
-  msg.shards = {live, draining};
   const auto frame = wire::EncodeFrame(wire::MessageType::kStatsResult,
                                        wire::EncodeStatsResult(msg));
   ASSERT_EQ(frame.size(), sizeof(kExpected));
@@ -467,7 +384,7 @@ TEST(WireFrameTest, DocumentedShardedStatsResultFrameBytes) {
 TEST(WireFrameTest, DocumentedStreamReportsFrameBytes) {
   // Stream "s1", max_reports 4.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x15, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x15, 0x00, 0x00,
       0x0a, 0x00, 0x00, 0x00, 0x45, 0xc1, 0xea, 0x79,
       0x02, 0x00, 0x00, 0x00, 0x73, 0x31, 0x04, 0x00,
       0x00, 0x00,
@@ -487,7 +404,7 @@ TEST(WireFrameTest, DocumentedStreamReportsResultFrameBytes) {
   // one consecutive drift, one edge added (also listed), mean Δ 0.25,
   // max Δ 0.5, jaccard 0, nothing removed.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x16, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x16, 0x00, 0x00,
       0x85, 0x00, 0x00, 0x00, 0xcb, 0x65, 0x43, 0x3f,
       0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
@@ -534,7 +451,7 @@ TEST(WireFrameTest, DocumentedStreamReportsResultFrameBytes) {
 TEST(WireFrameTest, DocumentedMetricsFrameBytes) {
   // kMetrics carries no payload: header only, CRC of zero bytes is 0.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x17, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x17, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
   const auto frame = wire::EncodeFrame(wire::MessageType::kMetrics, {});
@@ -546,7 +463,7 @@ TEST(WireFrameTest, DocumentedMetricsResultFrameBytes) {
   // Exposition text "a 1\n", one histogram row: series "h" with count 1
   // and sum = p50 = p90 = p99 = 0.5.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x18, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x18, 0x00, 0x00,
       0x39, 0x00, 0x00, 0x00, 0x33, 0x28, 0x27, 0xdf,
       0x04, 0x00, 0x00, 0x00, 0x61, 0x20, 0x31, 0x0a,
       0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
@@ -575,7 +492,7 @@ TEST(WireFrameTest, DocumentedMetricsResultFrameBytes) {
 TEST(WireFrameTest, DocumentedDumpFrameBytes) {
   // kDump carries no payload: header only, CRC of zero bytes is 0.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x19, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x19, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
   const auto frame = wire::EncodeFrame(wire::MessageType::kDump, {});
@@ -586,7 +503,7 @@ TEST(WireFrameTest, DocumentedDumpFrameBytes) {
 TEST(WireFrameTest, DocumentedDumpResultFrameBytes) {
   // A one-file bundle: "metrics.txt" containing "a 1\n".
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x1a, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x1a, 0x00, 0x00,
       0x1b, 0x00, 0x00, 0x00, 0x5d, 0x4f, 0xb7, 0x3f,
       0x01, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,
       0x6d, 0x65, 0x74, 0x72, 0x69, 0x63, 0x73, 0x2e,
@@ -637,7 +554,7 @@ TEST(WireCodecTest, DumpResultRejectsTrailingBytes) {
 TEST(WireFrameTest, DocumentedProfileFrameBytes) {
   // A two-second sampling window: payload is one u32.
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x1b, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x1b, 0x00, 0x00,
       0x04, 0x00, 0x00, 0x00, 0x97, 0x17, 0x4d, 0x8b,
       0x02, 0x00, 0x00, 0x00,
   };
@@ -652,7 +569,7 @@ TEST(WireFrameTest, DocumentedProfileFrameBytes) {
 TEST(WireFrameTest, DocumentedProfileResultFrameBytes) {
   // 3 samples, 1 drop, folded text "a;b 3\n", chrome JSON "{}".
   const uint8_t kExpected[] = {
-      0x43, 0x46, 0x57, 0x50, 0x07, 0x1c, 0x00, 0x00,
+      0x43, 0x46, 0x57, 0x50, 0x08, 0x1c, 0x00, 0x00,
       0x20, 0x00, 0x00, 0x00, 0x67, 0xec, 0x7b, 0xed,
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -1037,74 +954,28 @@ TEST(WireMessageTest, StatsResultRoundTrip) {
   ASSERT_EQ(decoded.models.size(), 1u);
   EXPECT_EQ(decoded.models[0].name, "m");
   EXPECT_EQ(decoded.models[0].window, 8);
-  EXPECT_TRUE(decoded.shards.empty());
 }
 
-TEST(WireMessageTest, StatsResultShardRowsRoundTrip) {
-  wire::StatsResultMsg msg;
-  msg.cache_hits = 3;
-  wire::StatsResultMsg::Shard live;
-  live.shard = 0;
-  live.live = true;
-  live.draining = false;
-  live.routed = 100;
-  live.restarts = 1;
-  live.cache_hits = 40;
-  live.cache_misses = 60;
-  live.cache_size = 7;
-  live.dedup_hits = 12;
-  live.batch_batches = 55;
-  wire::StatsResultMsg::Shard draining;
-  draining.shard = 3;
-  draining.live = false;
-  draining.draining = true;
-  draining.routed = 42;
-  msg.shards = {live, draining};
-
-  wire::StatsResultMsg decoded;
-  ASSERT_TRUE(
-      wire::DecodeStatsResult(wire::EncodeStatsResult(msg), &decoded).ok());
-  ASSERT_EQ(decoded.shards.size(), 2u);
-  EXPECT_EQ(decoded.shards[0].shard, 0u);
-  EXPECT_TRUE(decoded.shards[0].live);
-  EXPECT_FALSE(decoded.shards[0].draining);
-  EXPECT_EQ(decoded.shards[0].routed, 100u);
-  EXPECT_EQ(decoded.shards[0].restarts, 1u);
-  EXPECT_EQ(decoded.shards[0].cache_hits, 40u);
-  EXPECT_EQ(decoded.shards[0].cache_misses, 60u);
-  EXPECT_EQ(decoded.shards[0].cache_size, 7u);
-  EXPECT_EQ(decoded.shards[0].dedup_hits, 12u);
-  EXPECT_EQ(decoded.shards[0].batch_batches, 55u);
-  EXPECT_EQ(decoded.shards[1].shard, 3u);
-  EXPECT_FALSE(decoded.shards[1].live);
-  EXPECT_TRUE(decoded.shards[1].draining);
-  EXPECT_EQ(decoded.shards[1].routed, 42u);
-}
-
-TEST(WireMessageTest, StatsResultRejectsReservedShardFlagBits) {
-  wire::StatsResultMsg msg;
-  wire::StatsResultMsg::Shard shard;
-  shard.shard = 0;
-  shard.live = true;
-  msg.shards = {shard};
-  std::vector<uint8_t> payload = wire::EncodeStatsResult(msg);
-  // The shard row's flags byte sits 4 bytes into the 61-byte trailing row
-  // (after its u32 shard index). Set a reserved bit; decode must reject.
-  payload[payload.size() - 61 + 4] |= 0x80;
-  wire::StatsResultMsg decoded;
-  EXPECT_FALSE(wire::DecodeStatsResult(payload, &decoded).ok());
-}
-
-TEST(WireMessageTest, StatsResultRejectsHostileShardCount) {
-  // A count claiming more 61-byte rows than bytes remain must fail fast on
-  // the plausibility check, not attempt a giant reserve.
+TEST(WireMessageTest, StatsResultRejectsHostileModelCount) {
+  // A count claiming more (at least 36-byte) model rows than bytes remain
+  // must fail fast on the plausibility check, not attempt a giant reserve.
   wire::StatsResultMsg msg;
   std::vector<uint8_t> payload = wire::EncodeStatsResult(msg);
-  // Trailing u32 shard count: overwrite 0 with a hostile value.
+  // Trailing u32 model count: overwrite 0 with a hostile value.
   payload[payload.size() - 4] = 0xff;
   payload[payload.size() - 3] = 0xff;
   payload[payload.size() - 2] = 0xff;
   payload[payload.size() - 1] = 0x7f;
+  wire::StatsResultMsg decoded;
+  EXPECT_FALSE(wire::DecodeStatsResult(payload, &decoded).ok());
+}
+
+TEST(WireMessageTest, StatsResultRejectsV7ShardCount) {
+  // Protocol 8 dropped the v6 shard rows: a v7 payload's trailing u32 shard
+  // count (even a zero one) is trailing garbage now.
+  wire::StatsResultMsg msg;
+  std::vector<uint8_t> payload = wire::EncodeStatsResult(msg);
+  payload.insert(payload.end(), {0x00, 0x00, 0x00, 0x00});
   wire::StatsResultMsg decoded;
   EXPECT_FALSE(wire::DecodeStatsResult(payload, &decoded).ok());
 }
